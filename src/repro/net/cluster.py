@@ -281,7 +281,7 @@ class LiveCluster:
             asyncio.open_connection(bootstrap.host, bootstrap.port),
             net.connect_timeout,
         )
-        set_nodelay(writer, net.nodelay)
+        set_nodelay(writer)
         try:
             writer.write(encode_frame(JoinRequest(info=peer.info)))
             await asyncio.wait_for(writer.drain(), net.io_timeout)

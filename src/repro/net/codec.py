@@ -211,17 +211,11 @@ class _Reader:
 # ----------------------------------------------------------------------
 
 _ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {}
-_DECODERS: dict[int, Callable[[_Reader], Any]] = {}
 
-#: Flat dispatch table mirroring ``_DECODERS``: indexing a 256-slot
-#: list by the tag byte beats a dict probe on the hottest call in the
-#: whole receive path (one lookup per decoded value).
-_DECODER_TABLE: list[Optional[Callable[[_Reader], Any]]] = [None] * 256
-
-
-def _set_decoder(tag: int, decoder: Callable[[_Reader], Any]) -> None:
-    _DECODERS[tag] = decoder
-    _DECODER_TABLE[tag] = decoder
+#: Decoder by tag byte.  Indexing a 256-slot list beats a dict probe on
+#: the hottest call in the whole receive path (one lookup per decoded
+#: value).
+_DECODERS: list[Optional[Callable[[_Reader], Any]]] = [None] * 256
 
 
 #: Record tag -> field count, for structural skips that must step over
@@ -347,7 +341,7 @@ def _decode_value(reader: _Reader) -> Any:
     except IndexError:
         raise CodecError("truncated frame: expected a tag byte") from None
     reader.pos = pos + 1
-    decoder = _DECODER_TABLE[tag]
+    decoder = _DECODERS[tag]
     if decoder is None:
         raise CodecError(f"unknown value tag 0x{tag:02X}")
     return decoder(reader)
@@ -432,13 +426,11 @@ _ENCODERS[tuple] = _encode_tuple
 _ENCODERS[list] = _encode_list
 _ENCODERS[dict] = _encode_dict
 
-_set_decoder(_TAG_NONE, lambda reader: None)
-_set_decoder(_TAG_TRUE, lambda reader: True)
-_set_decoder(_TAG_FALSE, lambda reader: False)
-_set_decoder(_TAG_INT, _Reader.read_int)
-_set_decoder(
-    _TAG_FLOAT, lambda reader: _DOUBLE.unpack(reader.read_bytes(8))[0]
-)
+_DECODERS[_TAG_NONE] = lambda reader: None
+_DECODERS[_TAG_TRUE] = lambda reader: True
+_DECODERS[_TAG_FALSE] = lambda reader: False
+_DECODERS[_TAG_INT] = _Reader.read_int
+_DECODERS[_TAG_FLOAT] = lambda reader: _DOUBLE.unpack(reader.read_bytes(8))[0]
 
 #: Decode-side twin of ``_STR_MEMO``: raw utf-8 chunk -> the decoded
 #: (and thereby interned) string, so the relation/attribute/message
@@ -482,125 +474,16 @@ def _decode_dict(reader: _Reader) -> dict:
     }
 
 
-_set_decoder(_TAG_STR, _decode_str)
-_set_decoder(_TAG_BYTES, _decode_bytes)
-_set_decoder(_TAG_TUPLE, _decode_tuple)
-_set_decoder(_TAG_LIST, _decode_list)
-_set_decoder(_TAG_DICT, _decode_dict)
-
-
-# ----------------------------------------------------------------------
-# Pre-PR codec emulation (benchmark baseline only)
-# ----------------------------------------------------------------------
-# The load generator's ``per_frame`` baseline reproduces the live path
-# exactly as it existed before the throughput work, and the codec is
-# the largest share of that path's CPU — so the baseline must also run
-# the *seed* codec: no value memoisation, no buffer pool, dict (not
-# table) decoder dispatch, generator-fed tuples, per-frame
-# header+payload concatenation.  These are verbatim copies of the seed
-# implementations; :func:`use_legacy_codec` swaps them in and out at
-# runtime.  Wire bytes are identical in both modes (tests assert it) —
-# only the work to produce and consume them differs.  Nothing outside
-# benchmark baselines should ever enable this.
-
-_LEGACY_CODEC = False
-
-_READ_UVARINT_FAST = _Reader.read_uvarint
-_DECODE_VALUE_FAST = _decode_value
-
-
-def _encode_int_legacy(out, obj):
-    out.append(_TAG_INT)
-    _write_int(out, obj)
-
-
-def _encode_str_legacy(out, obj):
-    out.append(_TAG_STR)
-    data = obj.encode("utf-8")
-    _write_uvarint(out, len(data))
-    out += data
-
-
-def _decode_str_legacy(reader: _Reader) -> str:
-    length = reader.read_uvarint()
-    return reader.read_bytes(length).decode("utf-8")
-
-
-def _decode_tuple_legacy(reader: _Reader) -> tuple:
-    return tuple(_decode_value(reader) for _ in range(reader.read_uvarint()))
-
-
-def _read_uvarint_legacy(self: _Reader) -> int:
-    value = 0
-    shift = 0
-    while True:
-        byte = self.read_byte()
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value
-        shift += 7
-
-
-def _decode_value_legacy(reader: _Reader) -> Any:
-    tag = reader.read_byte()
-    decoder = _DECODERS.get(tag)
-    if decoder is None:
-        raise CodecError(f"unknown value tag 0x{tag:02X}")
-    return decoder(reader)
-
-
-def legacy_codec_active() -> bool:
-    """True while :func:`use_legacy_codec` has the seed paths installed.
-
-    The transport checks this to also disable its post-seed I/O fast
-    paths (direct ``readexactly``, skipped no-op drains) so a baseline
-    run reproduces the pre-PR behaviour end to end.
-    """
-    return _LEGACY_CODEC
-
-
-def use_legacy_codec(enabled: bool) -> None:
-    """Swap the hot codec paths for their seed (pre-PR) versions.
-
-    Benchmark-baseline plumbing, not a feature: the load generator
-    enables it around ``per_frame`` runs so the measured speedup is
-    the whole PR, then always restores the fast paths.
-    """
-    global _LEGACY_CODEC, _decode_value
-    if enabled == _LEGACY_CODEC:
-        return
-    _LEGACY_CODEC = enabled
-    if enabled:
-        _ENCODERS[int] = _encode_int_legacy
-        _ENCODERS[str] = _encode_str_legacy
-        _set_decoder(_TAG_STR, _decode_str_legacy)
-        _set_decoder(_TAG_TUPLE, _decode_tuple_legacy)
-        _Reader.read_uvarint = _read_uvarint_legacy
-        _decode_value = _decode_value_legacy
-        for cls, tag, _fast_enc, enc, _fast_dec, dec in _RECORD_CODECS:
-            _ENCODERS[cls] = enc
-            _set_decoder(tag, dec)
-    else:
-        _ENCODERS[int] = _encode_int
-        _ENCODERS[str] = _encode_str
-        _set_decoder(_TAG_STR, _decode_str)
-        _set_decoder(_TAG_TUPLE, _decode_tuple)
-        _Reader.read_uvarint = _READ_UVARINT_FAST
-        _decode_value = _DECODE_VALUE_FAST
-        for cls, tag, fast_enc, _enc, fast_dec, _dec in _RECORD_CODECS:
-            _ENCODERS[cls] = fast_enc
-            _set_decoder(tag, fast_dec)
+_DECODERS[_TAG_STR] = _decode_str
+_DECODERS[_TAG_BYTES] = _decode_bytes
+_DECODERS[_TAG_TUPLE] = _decode_tuple
+_DECODERS[_TAG_LIST] = _decode_list
+_DECODERS[_TAG_DICT] = _decode_dict
 
 
 # ----------------------------------------------------------------------
 # Record registry
 # ----------------------------------------------------------------------
-
-#: Every registered record's codec variants, so
-#: :func:`use_legacy_codec` can swap them wholesale:
-#: ``(cls, tag, fast_encoder, seed_encoder, fast_decoder, seed_decoder)``.
-_RECORD_CODECS: list[tuple] = []
-
 
 def register_record(
     cls: type,
@@ -611,43 +494,27 @@ def register_record(
 ) -> None:
     """Register a dataclass-like record under a wire tag.
 
-    ``fields`` are read with ``getattr`` at encode time and passed (in
-    order, as keywords) to ``build`` — the class itself by default — at
-    decode time.  A record is free to omit fields that must not travel
-    (e.g. ``RateProbeMessage.reply_box``) by leaving them out of
-    ``fields`` and letting the constructor default them.
+    ``fields`` are read at encode time and passed (in order) to
+    ``build`` — the class itself by default — at decode time.  A record
+    is free to omit fields that must not travel (e.g.
+    ``RateProbeMessage.reply_box``) by leaving them out of ``fields``
+    and letting the constructor default them.
     """
-    if tag in _DECODERS:
+    if _DECODERS[tag] is not None:
         raise CodecError(f"wire tag 0x{tag:02X} registered twice")
     if type(cls) is not type:
         raise CodecError(f"record class expected, got {cls!r}")
     builder = build if build is not None else cls
 
-    def encode_record(out: bytearray, obj: Any, _tag=tag, _fields=fields) -> None:
-        out.append(_tag)
-        for name in _fields:
-            _encode_value(out, getattr(obj, name))
-
-    def decode_record(reader: _Reader, _builder=builder, _fields=fields) -> Any:
-        kwargs = {name: _decode_value(reader) for name in _fields}
-        return _builder(**kwargs)
-
-    # Fast variants (same bytes, same objects — less interpreter work):
-    # one C-level attrgetter replaces the per-field getattr loop, and a
-    # positional constructor call replaces the kwargs dict whenever the
-    # wire fields are a declaration-order prefix of the dataclass (the
-    # decoded-value list is already in that order).  The seed-faithful
-    # closures above survive for :func:`use_legacy_codec`.
+    # One C-level attrgetter reads every wire field at once.
     if not fields:
 
-        def encode_record_fast(
-            out: bytearray, obj: Any, _tag=tag
-        ) -> None:
+        def encode_record(out: bytearray, obj: Any, _tag=tag) -> None:
             out.append(_tag)
 
     elif len(fields) == 1:
 
-        def encode_record_fast(
+        def encode_record(
             out: bytearray, obj: Any, _tag=tag,
             _get=operator.attrgetter(fields[0]),
         ) -> None:
@@ -656,7 +523,7 @@ def register_record(
 
     else:
 
-        def encode_record_fast(
+        def encode_record(
             out: bytearray, obj: Any, _tag=tag,
             _get=operator.attrgetter(*fields),
         ) -> None:
@@ -664,28 +531,34 @@ def register_record(
             for value in _get(obj):
                 _encode_value(out, value)
 
-    decode_record_fast = decode_record
-    if build is None and dataclasses.is_dataclass(cls):
-        declared = tuple(f.name for f in dataclasses.fields(cls))
-        if declared[: len(fields)] == fields:
-
-            def decode_record_fast(
-                reader: _Reader, _builder=builder, _count=len(fields)
-            ) -> Any:
-                return _builder(
-                    *[_decode_value(reader) for _ in range(_count)]
-                )
-
-    _RECORD_CODECS.append(
-        (cls, tag, encode_record_fast, encode_record,
-         decode_record_fast, decode_record)
+    # A positional constructor call skips the kwargs dict whenever the
+    # wire fields are a declaration-order prefix of the dataclass (the
+    # decoded values already arrive in that order); anything else —
+    # a reordered subset or a custom ``build`` — decodes by keyword.
+    positional = (
+        build is None
+        and dataclasses.is_dataclass(cls)
+        and tuple(f.name for f in dataclasses.fields(cls))[: len(fields)]
+        == fields
     )
-    if _LEGACY_CODEC:
-        _ENCODERS[cls] = encode_record
-        _set_decoder(tag, decode_record)
+    if positional:
+
+        def decode_record(
+            reader: _Reader, _builder=builder, _count=len(fields)
+        ) -> Any:
+            return _builder(*[_decode_value(reader) for _ in range(_count)])
+
     else:
-        _ENCODERS[cls] = encode_record_fast
-        _set_decoder(tag, decode_record_fast)
+
+        def decode_record(
+            reader: _Reader, _builder=builder, _fields=fields
+        ) -> Any:
+            return _builder(
+                **{name: _decode_value(reader) for name in _fields}
+            )
+
+    _ENCODERS[cls] = encode_record
+    _DECODERS[tag] = decode_record
     _ARITY_BY_TAG[tag] = len(fields)
 
 
@@ -883,16 +756,6 @@ def encode_frame_into(out: bytearray, obj: Any) -> int:
 
 def encode_frame(obj: Any) -> bytes:
     """Serialize ``obj`` to a complete wire frame (header + payload)."""
-    if _LEGACY_CODEC:
-        # The seed path: encode the payload to its own bytes object,
-        # then concatenate the packed header in front (two allocations
-        # and a copy per frame).
-        payload = encode(obj)
-        if len(payload) > MAX_PAYLOAD:
-            raise CodecError(
-                f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD"
-            )
-        return _HEADER.pack(MAGIC, PROTOCOL_VERSION, len(payload)) + payload
     perf = PERF.enabled
     buffer = _BUFFER_POOL.pop() if _BUFFER_POOL else bytearray()
     timer = PERF.timer("codec.encode") if perf else None
@@ -951,10 +814,8 @@ async def read_frame_raw(
     """
     # ``wait_for`` wraps its awaitable in a fresh Task even with no
     # timeout — measurable per-frame overhead on the serve loop — so
-    # the unbounded case awaits the stream read directly.  The legacy
-    # flag restores the seed's unconditional wrapping, so the pre-PR
-    # benchmark baseline pays the same per-read cost the seed did.
-    fast = timeout is None and not _LEGACY_CODEC
+    # the unbounded case awaits the stream read directly.
+    fast = timeout is None
     try:
         if fast:
             header = await reader.readexactly(HEADER_SIZE)

@@ -38,22 +38,18 @@ drains.  The settle is timed separately and the handful of recovered
 answers is reported.  ``--compare-sim`` asserts the resulting set is
 digest-identical to the simulator oracle.
 
-Two drive modes bracket this PR's work:
+There is one transport path: the outbox coalesces queued frames into
+multi-frame writes with one drain per batch, pure relays forward raw
+wire bytes, and the driver pipelines events up to the in-flight credit
+budget.  Reports store it under the ``batched`` key.
 
-* ``per_frame`` — the **pre-PR live path**, reproduced faithfully:
-  ``max_batch_frames=1`` (every frame pays its own ``write(); await
-  drain()``), the drain-per-event driver (the only driver that
-  existed before the load generator), no ``TCP_NODELAY``, and the
-  seed codec (:func:`repro.net.codec.use_legacy_codec` — no memo
-  tables, no buffer pool, per-frame header concatenation);
-* ``batched`` — this PR's path: the outbox coalesces queued frames
-  into multi-frame writes with one drain per batch, and the driver
-  pipelines events up to the in-flight credit budget.
-
-``--both`` measures the two back to back; the committed
-``BENCH_net_seed.json`` stores both so the CI gate (``--compare``) can
-demand that today's batched path never falls back to — or below — the
-per-frame baseline, mirroring the macro-benchmark's wall-drift gate.
+The CI gate (``--compare``) checks every digest against the committed
+``BENCH_net_seed.json`` and holds the stream wall under that file's
+recorded per-frame wall (the pre-batching transport, measured when
+the batching landed) plus a threshold, mirroring the macro-benchmark's
+wall-drift gate.  Those walls are a fixed historical reference; A/B
+timing against an earlier commit comes from the ``perfbench`` harness
+(its ``live-open`` workload), not from this module.
 """
 
 from __future__ import annotations
@@ -65,12 +61,11 @@ import platform
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..workload.generator import Workload, WorkloadParams, build_workload
 from .cluster import ClusterConfig, LiveCluster, simulate_reference
-from .codec import use_legacy_codec
 from .loop import loop_label, maybe_install_uvloop
 from .peer import NetConfig
 
@@ -80,12 +75,12 @@ ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
 #: Name recorded in the JSON so unrelated baselines never compare.
 BASELINE_NAME = "net-loadgen-v1"
 
-#: Allowed fractional wall regression of the batched path versus the
-#: committed *per-frame* wall before the gate fails.  The per-frame
-#: baseline is ≥2x slower than the batched path it gates, so — exactly
-#: like the macro-benchmark gate — the alarm only sounds once the
-#: entire batching speedup has been eaten back, and runner-speed
-#: variance alone cannot trip it.
+#: Allowed fractional wall regression of the live path versus the
+#: committed pre-batching wall before the gate fails.  That recorded
+#: wall is ≥2x slower than the path it gates, so — exactly like the
+#: macro-benchmark gate — the alarm only sounds once the entire
+#: batching speedup has been eaten back, and runner-speed variance
+#: alone cannot trip it.
 DEFAULT_THRESHOLD = 0.25
 
 #: Latency percentiles reported, as fractions.
@@ -105,18 +100,9 @@ class LoadgenConfig:
     #: default, so committed baselines are unaffected).
     zipf_s: float = 0.9
     seed: int = 1
-    #: Pre-batching transport (``max_batch_frames=1``) when False.
-    batched: bool = True
-    #: Pipelined driver (credit-gated, no per-event drain) when True;
-    #: the pre-PR drain-per-event driver when False.
-    pipelined: bool = True
-    #: Run the seed (pre-PR) codec paths — baseline measurement only.
-    legacy_codec: bool = False
     #: Credit budget gating the pipelined driver; smaller = saner
     #: latency tails, larger = deeper pipelining.
     inflight_budget: int = 256
-    #: Full cluster drain every N tuple events (0 = only at stream end).
-    drain_every: int = 0
     quiesce_timeout: float = 60.0
     host: str = "127.0.0.1"
     engine_overrides: dict = field(default_factory=dict)
@@ -133,15 +119,7 @@ class LoadgenConfig:
         )
 
     def net_config(self) -> NetConfig:
-        # The per-frame baseline also runs without TCP_NODELAY: the
-        # pre-PR transport never set it, so its numbers include
-        # Nagle's tax, exactly as the seed behaved.
-        return NetConfig(
-            credit_budget=self.inflight_budget,
-            max_batch_frames=64 if self.batched else 1,
-            nodelay=self.batched,
-            raw_relay=self.batched,
-        )
+        return NetConfig(credit_budget=self.inflight_budget)
 
 
 @dataclass
@@ -197,8 +175,6 @@ class LoadReport:
     """One algorithm's measured run."""
 
     algorithm: str
-    batched: bool
-    pipelined: bool
     n_nodes: int
     n_queries: int
     n_tuples: int
@@ -217,13 +193,6 @@ class LoadReport:
     peak_in_flight: int
     digest: str
     latency: LatencySummary
-
-    def mode(self) -> str:
-        if self.batched and self.pipelined:
-            return "batched"
-        if not self.batched and not self.pipelined:
-            return "per_frame"
-        return "mixed"
 
     def as_dict(self) -> dict:
         return {
@@ -252,14 +221,14 @@ class LoadReport:
             "kind": "live",
             "notifications_delivered": self.notifications,
             "notification_digest": self.digest,
-            "mode": self.mode(),
+            "mode": "batched",
             "live": self.as_dict(),
         }
 
     def summary(self) -> str:
         lat = self.latency
         return (
-            f"{self.algorithm:6s} [{self.mode():9s}] "
+            f"{self.algorithm:6s} "
             f"{self.notifications_per_sec:9.1f} notif/s  "
             f"{self.events_per_sec:8.1f} events/s  "
             f"p50 {lat.p50_ms:7.2f}ms  p95 {lat.p95_ms:7.2f}ms  "
@@ -284,15 +253,11 @@ async def run_load(config: LoadgenConfig) -> LoadReport:
             net=config.net_config(),
         )
     )
-    use_legacy_codec(config.legacy_codec)
+    await cluster.start()
     try:
-        await cluster.start()
-        try:
-            return await _drive(cluster, workload, config)
-        finally:
-            await cluster.stop()
+        return await _drive(cluster, workload, config)
     finally:
-        use_legacy_codec(False)
+        await cluster.stop()
 
 
 async def _drive(
@@ -319,10 +284,6 @@ async def _drive(
         if started is not None:
             latencies.append(clock() - started)
 
-    # Pre-PR emulation quiesces after every event; the pipelined
-    # driver only drains every ``drain_every`` events (0 = stream end).
-    drain_every = config.drain_every if config.pipelined else 1
-
     # -- install phase: queries land (and drain) before the stream -----
     install_start = clock()
     for event in query_events:
@@ -331,14 +292,11 @@ async def _drive(
         origin = cluster.network.random_node(rng)
         bound = engine.subscribe(origin, event.payload)
         engine.add_notification_listener(bound.key, on_notification)
-        if drain_every == 1:
-            await cluster.drain()
     await cluster.drain()
     install_seconds = clock() - install_start
 
     # -- stream phase: the measured tuple stream ------------------------
     stream_start = clock()
-    since_drain = 0
     for event in tuple_events:
         await cluster.in_flight.wait_below_budget(config.quiesce_timeout)
         engine.clock.advance_to(event.time)
@@ -346,11 +304,6 @@ async def _drive(
         relation, values = event.payload
         publish_wall[event.time] = clock()
         engine.publish(origin, relation, values)
-        if drain_every > 0:
-            since_drain += 1
-            if since_drain >= drain_every:
-                await cluster.drain()
-                since_drain = 0
     await cluster.drain()
     stream_seconds = clock() - stream_start
 
@@ -364,16 +317,13 @@ async def _drive(
     # lands and the answer is created by neither.  Replaying the soft
     # state (the paper's lease/republish model) re-probes with full
     # duplicate suppression: raced pairs surface, everything else is a
-    # no-op.  The drain-per-event driver cannot race, so the per-frame
-    # baseline skips the settle and its digest is unaffected.
-    settle_seconds = 0.0
-    if config.pipelined:
-        settle_start = clock()
-        for _, replay in engine.lease_refresh_steps():
-            await cluster.in_flight.wait_below_budget(config.quiesce_timeout)
-            replay()
-        await cluster.drain()
-        settle_seconds = clock() - settle_start
+    # no-op.
+    settle_start = clock()
+    for _, replay in engine.lease_refresh_steps():
+        await cluster.in_flight.wait_below_budget(config.quiesce_timeout)
+        replay()
+    await cluster.drain()
+    settle_seconds = clock() - settle_start
 
     from ..bench.macro import notification_digest
 
@@ -381,8 +331,6 @@ async def _drive(
     peers = cluster.peers.values()
     return LoadReport(
         algorithm=config.algorithm,
-        batched=config.batched,
-        pipelined=config.pipelined,
         n_nodes=config.n_nodes,
         n_queries=workload.n_queries,
         n_tuples=workload.n_tuples,
@@ -421,57 +369,40 @@ def build_report(
     point: LoadgenConfig,
     *,
     algorithms: Sequence[str] = ALGORITHMS,
-    modes: Sequence[str] = ("batched",),
     check_sim: bool = False,
     repeats: int = 1,
 ) -> dict:
-    """Measure ``algorithms`` x ``modes`` at one point; returns the
-    JSON-ready report (the ``BENCH_net_seed.json`` shape).
+    """Measure ``algorithms`` at one point; returns the JSON-ready
+    report (the ``BENCH_net_seed.json`` shape, run stats under each
+    algorithm's ``batched`` key).
 
-    ``repeats`` runs each (algorithm, mode) cell that many times and
-    keeps the fastest stream wall — live localhost runs are noisy, and
-    best-of-N measures the code, not the machine's mood (same policy
-    as the micro-benchmark harness).  With ``check_sim`` every measured
-    digest is additionally compared against the simulator oracle; a
-    mismatch raises ``RuntimeError`` (throughput work must never
-    change semantics).
+    ``repeats`` runs each algorithm that many times and keeps the
+    fastest stream wall — live localhost runs are noisy, and best-of-N
+    measures the code, not the machine's mood (same policy as the
+    micro-benchmark harness).  With ``check_sim`` every measured digest
+    is additionally compared against the simulator oracle; a mismatch
+    raises ``RuntimeError`` (throughput work must never change
+    semantics).
     """
     entries: dict[str, dict] = {}
     for algorithm in algorithms:
-        entry: dict = {}
-        digest: Optional[str] = None
-        for mode in modes:
-            config = LoadgenConfig(
-                **{
-                    **point.__dict__,
-                    "algorithm": algorithm,
-                    "batched": mode == "batched",
-                    "pipelined": mode == "batched",
-                    "legacy_codec": mode != "batched",
-                }
-            )
-            report = run_load_sync(config)
-            for _ in range(max(0, repeats - 1)):
-                candidate = run_load_sync(config)
-                if candidate.digest != report.digest:
-                    raise RuntimeError(
-                        f"{algorithm}: repeated {mode} runs disagree on "
-                        f"the notification digest — the live path is "
-                        f"not deterministic"
-                    )
-                if candidate.stream_seconds < report.stream_seconds:
-                    report = candidate
-            entry[mode] = report.as_dict()
-            entry["notifications"] = report.notifications
-            if digest is None:
-                digest = report.digest
-            elif digest != report.digest:
+        config = replace(point, algorithm=algorithm)
+        report = run_load_sync(config)
+        for _ in range(max(0, repeats - 1)):
+            candidate = run_load_sync(config)
+            if candidate.digest != report.digest:
                 raise RuntimeError(
-                    f"{algorithm}: per-frame and batched runs disagree "
-                    f"on the notification digest — batching changed "
-                    f"semantics"
+                    f"{algorithm}: repeated runs disagree on the "
+                    f"notification digest — the live path is not "
+                    f"deterministic"
                 )
-        entry["digest"] = digest
+            if candidate.stream_seconds < report.stream_seconds:
+                report = candidate
+        entry: dict = {
+            "batched": report.as_dict(),
+            "notifications": report.notifications,
+            "digest": report.digest,
+        }
         if check_sim:
             sim_digest, sim_delivered = simulate_reference(
                 point.workload(),
@@ -480,21 +411,16 @@ def build_report(
                 seed=point.seed,
             )
             entry["sim_digest"] = sim_digest
-            if sim_digest != digest:
+            if sim_digest != report.digest:
                 raise RuntimeError(
-                    f"{algorithm}: live loadgen digest {digest[:12]} != "
-                    f"simulator digest {sim_digest[:12]}"
+                    f"{algorithm}: live loadgen digest {report.digest[:12]} "
+                    f"!= simulator digest {sim_digest[:12]}"
                 )
-            if sim_delivered != entry["notifications"]:
+            if sim_delivered != report.notifications:
                 raise RuntimeError(
-                    f"{algorithm}: live delivered {entry['notifications']} "
+                    f"{algorithm}: live delivered {report.notifications} "
                     f"!= simulator {sim_delivered}"
                 )
-        if "per_frame" in entry and "batched" in entry:
-            per_frame = entry["per_frame"]["notifications_per_sec"]
-            batched = entry["batched"]["notifications_per_sec"]
-            if per_frame > 0:
-                entry["batched_speedup"] = round(batched / per_frame, 2)
         entries[algorithm] = entry
     return {
         "name": BASELINE_NAME,
@@ -604,17 +530,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="credit budget gating the pipelined driver (default 256)",
     )
     parser.add_argument(
-        "--per-frame",
-        action="store_true",
-        help="measure only the pre-PR path (per-frame drains, "
-        "drain-per-event driver)",
-    )
-    parser.add_argument(
-        "--both",
-        action="store_true",
-        help="measure per-frame AND batched (baseline generation)",
-    )
-    parser.add_argument(
         "--compare-sim",
         action="store_true",
         help="fail unless every live digest matches the simulator's",
@@ -631,8 +546,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--threshold",
         type=float,
         default=DEFAULT_THRESHOLD,
-        help="allowed fractional wall drift vs the per-frame baseline "
-        "(default 0.25)",
+        help="allowed fractional wall drift vs the baseline's recorded "
+        "pre-batching wall (default 0.25)",
     )
     parser.add_argument(
         "--output", default=None, metavar="PATH", help="write the report JSON"
@@ -646,7 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--repeats",
         type=int,
         default=1,
-        help="best-of-N stream walls per (algorithm, mode) cell "
+        help="best-of-N stream walls per algorithm "
         "(default 1; baseline generation should use 3+)",
     )
     parser.add_argument("--json", action="store_true", help="print raw JSON")
@@ -692,18 +607,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if unknown:
             parser.error(f"unknown algorithm(s): {sorted(unknown)}")
 
-    if args.both:
-        modes: Sequence[str] = ("per_frame", "batched")
-    elif args.per_frame:
-        modes = ("per_frame",)
-    else:
-        modes = ("batched",)
-
     try:
         report = build_report(
             point,
             algorithms=algorithms,
-            modes=modes,
             check_sim=args.compare_sim,
             repeats=max(1, args.repeats),
         )
@@ -720,26 +627,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(rendered)
     else:
         for algorithm, entry in report["algorithms"].items():
-            for mode in ("per_frame", "batched"):
-                stats = entry.get(mode)
-                if not stats:
-                    continue
-                lat = stats["latency_ms"]
-                print(
-                    f"{algorithm:6s} [{mode:9s}] "
-                    f"{stats['notifications_per_sec']:9.1f} notif/s  "
-                    f"p50 {lat['p50_ms']:7.2f}ms  "
-                    f"p95 {lat['p95_ms']:7.2f}ms  "
-                    f"p99 {lat['p99_ms']:7.2f}ms  "
-                    f"({stats['wall_seconds']:.3f}s stream, "
-                    f"{stats['frames_sent']} frames, "
-                    f"{stats['batches_sent']} batches)"
-                )
-            if "batched_speedup" in entry:
-                print(
-                    f"{algorithm:6s} batched speedup vs per-frame: "
-                    f"{entry['batched_speedup']:.2f}x"
-                )
+            stats = entry["batched"]
+            lat = stats["latency_ms"]
+            print(
+                f"{algorithm:6s} "
+                f"{stats['notifications_per_sec']:9.1f} notif/s  "
+                f"p50 {lat['p50_ms']:7.2f}ms  "
+                f"p95 {lat['p95_ms']:7.2f}ms  "
+                f"p99 {lat['p99_ms']:7.2f}ms  "
+                f"({stats['wall_seconds']:.3f}s stream, "
+                f"{stats['frames_sent']} frames, "
+                f"{stats['batches_sent']} batches)"
+            )
 
     if baseline is not None:
         problems = compare_reports(report, baseline, args.threshold)

@@ -71,7 +71,6 @@ from .codec import (
     decode_value_at,
     encode_frame,
     frame_for_payload,
-    legacy_codec_active,
     read_frame,
     read_frame_raw,
 )
@@ -108,7 +107,7 @@ class InjectedWireFault(Exception):
     """
 
 
-def set_nodelay(writer: asyncio.StreamWriter, enabled: bool = True) -> None:
+def set_nodelay(writer: asyncio.StreamWriter) -> None:
     """Disable Nagle's algorithm on a stream's underlying socket.
 
     Batching is *our* policy (the outbox coalesces frames explicitly);
@@ -116,17 +115,22 @@ def set_nodelay(writer: asyncio.StreamWriter, enabled: bool = True) -> None:
     uncontrolled delay on top and put latency numbers at Nagle's mercy.
     Applied to every accepted and outbound TCP connection; a transport
     without a real socket (tests, non-TCP) is silently left alone.
-    ``enabled=False`` is a no-op — it exists so the load generator's
-    pre-PR baseline mode can run with the socket options the seed
-    transport actually had (:class:`NetConfig` ``nodelay``).
     """
-    if not enabled:
-        return
     sock = writer.get_extra_info("socket")
     if sock is None:
         return
     with suppress(OSError, AttributeError):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+#: Most frames coalesced into one socket write.  Chaos runs always
+#: deliver per-frame so the seeded per-frame fault decisions keep their
+#: exact semantics.
+MAX_BATCH_FRAMES = 64
+#: Byte ceiling on one coalesced write; a batch stops growing once it
+#: would exceed this (the frame that crossed the line still ships with
+#: the batch, so a single frame may exceed it alone).
+MAX_BATCH_BYTES = 256 * 1024
 
 
 @dataclass
@@ -156,32 +160,6 @@ class NetConfig:
     send_window: int = 1024
     #: Cluster-wide ceiling on in-flight deliveries (the credit budget).
     credit_budget: int = 4096
-    #: Most frames coalesced into one socket write (1 = per-frame
-    #: writes with one drain each, the pre-batching behaviour).  Chaos
-    #: runs always deliver per-frame so the seeded per-frame fault
-    #: decisions keep their exact semantics.
-    max_batch_frames: int = 64
-    #: Byte ceiling on one coalesced write; a batch stops growing once
-    #: it would exceed this (the frame that crossed the line still
-    #: ships with the batch, so a single frame may exceed it alone).
-    max_batch_bytes: int = 256 * 1024
-    #: How long (seconds) a non-full batch waits for more frames after
-    #: the queue runs dry.  0 (default) never waits: batching then only
-    #: coalesces what handler cascades already queued, adding no
-    #: latency on an idle connection.
-    batch_linger: float = 0.0
-    #: Set ``TCP_NODELAY`` on every accepted and outbound socket.
-    #: Always leave this on; ``False`` exists only so the load
-    #: generator's pre-PR baseline can measure Nagle's tax.
-    nodelay: bool = True
-    #: Handle routed frames structurally wherever possible: pass-through
-    #: RouteFrames/MultiFrames forward as raw wire bytes (hop counter
-    #: bumped in place), and delivering multisend hops decode only the
-    #: pair messages they own, splicing the remainder onward as verbatim
-    #: byte slices.  ``False`` exists only for the pre-PR benchmark
-    #: baseline; chaos runs disable the fast path automatically either
-    #: way.
-    raw_relay: bool = True
 
     @classmethod
     def from_fault_plan(cls, plan, **overrides) -> "NetConfig":
@@ -371,10 +349,10 @@ class _Outbox:
     with a **single drain per batch** (DESIGN.md §13): whatever a
     synchronous handler cascade queued in one event-loop turn usually
     ships as one ``write()``.  Batches are bounded by frame count and
-    byte size (:class:`NetConfig`); with a chaos layer installed the
-    writer falls back to strict per-frame delivery so the seeded
-    per-frame fault decisions (reset/truncate/garble *this* frame)
-    keep their exact semantics.
+    byte size (``MAX_BATCH_FRAMES``, ``MAX_BATCH_BYTES``); with a chaos
+    layer installed the writer falls back to strict per-frame delivery
+    so the seeded per-frame fault decisions (reset/truncate/garble
+    *this* frame) keep their exact semantics.
     """
 
     def __init__(self, peer: "NetPeer", target_ident: int):
@@ -431,7 +409,7 @@ class _Outbox:
                     return
                 batch = self.current
                 batch.append(item)
-                closing = self._fill_batch(batch, config)
+                closing = self._fill_batch(batch)
                 if len(batch) == 1:
                     await self._deliver(item, config)
                     batch.clear()
@@ -442,23 +420,19 @@ class _Outbox:
         finally:
             self.reset()
 
-    def _fill_batch(self, batch: list[_OutItem], config: NetConfig) -> bool:
+    def _fill_batch(self, batch: list[_OutItem]) -> bool:
         """Greedily take more queued frames into ``batch`` (no awaits).
 
         Returns True when the close sentinel was consumed while
         filling, so the caller ships the batch and then exits.  With
-        chaos installed, or ``max_batch_frames <= 1``, the batch stays
-        at one frame and delivery keeps its per-frame semantics.
+        chaos installed the batch stays at one frame and delivery keeps
+        its per-frame semantics.
         """
         if self.peer.cluster.chaos is not None:
             return False
-        max_frames = config.max_batch_frames
-        max_bytes = config.max_batch_bytes
-        if max_frames <= 1:
-            return False
         nbytes = len(batch[0].data)
         queue = self.queue
-        while len(batch) < max_frames and nbytes < max_bytes:
+        while len(batch) < MAX_BATCH_FRAMES and nbytes < MAX_BATCH_BYTES:
             try:
                 item = queue.get_nowait()
             except asyncio.QueueEmpty:
@@ -481,17 +455,6 @@ class _Outbox:
         fails under injected faults or a genuinely dead peer.)
         """
         peer = self.peer
-        linger = config.batch_linger
-        if linger > 0.0 and len(batch) < config.max_batch_frames:
-            # Time threshold: give an almost-empty batch one bounded
-            # chance to pick up stragglers before paying the write.
-            with suppress(asyncio.TimeoutError):
-                while len(batch) < config.max_batch_frames:
-                    item = await asyncio.wait_for(self.queue.get(), linger)
-                    if item is None:
-                        self.queue.put_nowait(None)
-                        break
-                    batch.append(item)
         try:
             await self._attempt_batch(batch, config)
             batch.clear()
@@ -602,14 +565,8 @@ class _Outbox:
             raise InjectedWireFault("frame garbled on the wire")
         self.writer.write(item.data)
         # Same no-op-drain elision as the batch path, but only outside
-        # chaos and baseline-emulation runs: chaos semantics lean on a
-        # drain per faulted attempt, and the pre-PR transport always
-        # paid the ``wait_for`` (see ``legacy_codec_active``).
-        if (
-            chaos is not None
-            or legacy_codec_active()
-            or self.writer.transport.get_write_buffer_size()
-        ):
+        # chaos runs: chaos semantics lean on a drain per faulted attempt.
+        if chaos is not None or self.writer.transport.get_write_buffer_size():
             await asyncio.wait_for(self.writer.drain(), config.io_timeout)
         peer.bytes_sent += len(item.data)
         peer.note_send_success(self.target_ident)
@@ -632,7 +589,7 @@ class _Outbox:
             asyncio.open_connection(info.host, info.port),
             config.connect_timeout,
         )
-        set_nodelay(self.writer, config.nodelay)
+        set_nodelay(self.writer)
 
 
 class NetPeer:
@@ -982,11 +939,7 @@ class NetPeer:
         about decoded frames, so soaks keep the seed semantics).
         """
         cluster = self.cluster
-        if (
-            not cluster.net_config.raw_relay
-            or cluster.chaos is not None
-            or self.crashed
-        ):
+        if cluster.chaos is not None or self.crashed:
             return False
         tag = payload[0] if payload else 0
         if tag == TAG_ROUTE_FRAME:
@@ -1128,7 +1081,7 @@ class NetPeer:
         if task is not None:
             self._serve_tasks.add(task)
         self._inbound.add(writer)
-        set_nodelay(writer, self.cluster.net_config.nodelay)
+        set_nodelay(writer)
         loop = asyncio.get_running_loop()
         abort_connection = False
         try:

@@ -1,13 +1,12 @@
 """Tests for the live-throughput path: structural peeks, raw relay
-splicing, batched stream decode, and the baseline codec swap.
+splicing, batched stream decode, and outbox batching.
 
 The zero-copy relay never materializes the messages it forwards, so
 every structural helper here is proven byte-exact against the full
 decode/encode round trip: a peek must read exactly what decode reads, a
 splice must produce exactly the bytes a re-encode would, and the hop
-bump must equal re-encoding the frame with ``hops + 1``.  The legacy
-codec swap used for baseline measurement must be wire-identical to the
-fast paths, or the measured speedup would be comparing two protocols.
+bump must equal re-encoding the frame with ``hops + 1``.  The wire
+bytes themselves are pinned by golden vectors in ``test_wire_vectors``.
 """
 
 import asyncio
@@ -25,7 +24,6 @@ from repro.net.codec import (
     encode,
     encode_frame,
     skip_value,
-    use_legacy_codec,
 )
 from repro.net.frames import (
     DirectFrame,
@@ -199,38 +197,12 @@ class TestMultiPeekAndSplice:
         peek_multi(junk)  # must not raise
 
 
-class TestLegacyCodecIdentity:
-    """`use_legacy_codec` swaps implementations, never the wire format."""
-
-    def test_wire_bytes_identical_across_swap(self):
-        samples = [
-            message_for(n) for n in range(4)
-        ] + [
-            RouteFrame(2**159, message_for(1), hops=3),
-            MultiFrame(((5, message_for(2)), (9, message_for(3))), hops=1),
-            ("mixed", (1, 2.5, None), {"k": [True, b"x"]}),
-        ]
-        fast = [encode_frame(sample) for sample in samples]
-        use_legacy_codec(True)
-        try:
-            legacy = [encode_frame(sample) for sample in samples]
-            decoded_legacy = [decode_frame(data) for data in fast]
-        finally:
-            use_legacy_codec(False)
-        assert fast == legacy
-        assert [repr(decode_frame(d)) for d in legacy] == [
-            repr(obj) for obj in decoded_legacy
-        ]
-
-
-def make_cluster(**net_kwargs):
+def make_cluster():
     return LiveCluster(
         ClusterConfig(
             n_nodes=2,
             quiesce_timeout=10.0,
-            net=NetConfig(
-                connect_timeout=0.5, io_timeout=2.0, backoff_base=0.01, **net_kwargs
-            ),
+            net=NetConfig(connect_timeout=0.5, io_timeout=2.0, backoff_base=0.01),
         )
     )
 
@@ -324,7 +296,7 @@ class TestCoalescedStream:
 class TestBatchingAndNodelay:
     def test_rapid_posts_coalesce_into_batches(self):
         async def scenario():
-            cluster = make_cluster(max_batch_frames=64)
+            cluster = make_cluster()
             await cluster.start()
             try:
                 received = []
@@ -359,7 +331,7 @@ class TestBatchingAndNodelay:
 
     def test_tcp_nodelay_set_on_outbox_sockets(self):
         async def scenario():
-            cluster = make_cluster(nodelay=True)
+            cluster = make_cluster()
             await cluster.start()
             try:
                 sender, target = list(cluster.peers.values())
