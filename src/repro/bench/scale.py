@@ -5,7 +5,9 @@ bottleneck.  This benchmark pushes the network-size axis into the
 10^5-node range by combining the three scaling mechanisms of
 DESIGN.md §14:
 
-* fast-routing ring snapshots (``ChordNetwork.build(fast_routing=True)``),
+* snapshot routing (:class:`~repro.chord.snapshot.RingSnapshot`, taken
+  by every exact ring, with finger tables and engine state built on
+  demand),
 * streaming workload generation (:func:`iter_workload_events`), and
 * sharded staged execution of the stream (:func:`repro.sim.shard.run_sharded`).
 
@@ -164,7 +166,7 @@ def run_scale_point(
     params = workload_params_for(point)
     schema = synthetic_schema(params.n_relations, params.attributes_per_relation)
     start = time.perf_counter()
-    network = ChordNetwork.build(point.n_nodes, fast_routing=True)
+    network = ChordNetwork.build(point.n_nodes)
     built = time.perf_counter()
     engine = ContinuousQueryEngine(
         network,
@@ -322,7 +324,7 @@ def verify_equivalence(
         if fork_available():
             modes.append(("forked", 4))
         for label, shards in modes:
-            network = ChordNetwork.build(point.n_nodes, fast_routing=True)
+            network = ChordNetwork.build(point.n_nodes)
             engine = ContinuousQueryEngine(
                 network,
                 EngineConfig(

@@ -5,9 +5,9 @@ router and traffic statistics, plus the node registry.  It supports two
 construction modes:
 
 * :meth:`ChordNetwork.build` creates a stable ring directly (correct
-  successors, predecessors and finger tables) — the setting of the
-  paper's experiments, which evaluate query processing rather than ring
-  maintenance;
+  successors and predecessors, finger tables filled on demand) — the
+  setting of the paper's experiments, which evaluate query processing
+  rather than ring maintenance;
 * incremental :meth:`join` / :meth:`leave` / :meth:`fail` plus
   :meth:`run_stabilization` exercise the actual Chord maintenance
   protocol (stabilize, fix fingers, check predecessor) for
@@ -67,19 +67,16 @@ class ChordNetwork:
         self._nodes: dict[int, ChordNode] = {}
         self._sorted_idents: list[int] = []
         self.transfer_hook: Optional[TransferHook] = None
-        #: Opt-in snapshot routing (see :meth:`ring_snapshot`).  Off by
-        #: default so tests that damage ring pointers directly keep
-        #: exercising the object walk unchanged.
-        self.fast_routing = False
-        #: True while every node's pointers match the membership exactly
-        #: (as after :meth:`build` / :meth:`rebuild_ring_state`); any
-        #: membership change clears it until the next full rebuild.
+        #: True while every node's ring pointers match the membership
+        #: exactly (as after :meth:`build` / :meth:`rebuild_ring_state`);
+        #: any membership change clears it until the next full rebuild.
+        #: While it holds, routing runs on the :meth:`ring_snapshot`.
         self._ring_exact = False
-        #: Finger tables deferred (large fast-routing rings): snapshot
+        #: Finger tables not filled since the last full rebuild: snapshot
         #: routing never reads them, and building them dominates ring
-        #: construction time.  Materialized on the first membership
-        #: change so the object walk stays available as a fallback.
-        self._lazy_fingers = False
+        #: construction time.  :meth:`materialize_fingers` fills them
+        #: when the object walk is about to need them.
+        self._fingers_stale = False
         #: Bumped on every membership change; O(1) snapshot invalidation.
         self._membership_generation = 0
         self._snapshot: Optional[RingSnapshot] = None
@@ -116,18 +113,16 @@ class ChordNetwork:
         successor_list_size: int = DEFAULT_SUCCESSOR_LIST_SIZE,
         key_prefix: str = "node",
         injector: Optional["FaultInjector"] = None,
-        fast_routing: bool = False,
+        *,
+        fast_routing: bool = False,  # ignored; the benchmark in perfbench/ still passes it
     ) -> "ChordNetwork":
         """Create a stable ring of ``n_nodes`` nodes.
 
         Node keys are ``"{key_prefix}-{i}"``; identifier collisions
         (possible at small ``m``) are resolved by salting the key, so
         the ring always has exactly ``n_nodes`` distinct identifiers.
-
-        ``fast_routing=True`` enables snapshot routing (bisect lookups
-        over the sorted identifier array instead of per-hop object
-        walks) and defers finger-table construction, which dominates
-        build time at large ``n_nodes``.
+        Successors and predecessors are set exactly; finger tables are
+        left to :meth:`materialize_fingers`.
         """
         if n_nodes < 1:
             raise NetworkError("a network needs at least one node")
@@ -153,78 +148,77 @@ class ChordNetwork:
         # repeated-memmove cost is what made >=100k-node builds crawl).
         network._sorted_idents = sorted(nodes)
         network._membership_generation += 1
-        network.fast_routing = fast_routing
-        network._lazy_fingers = fast_routing
         network.rebuild_ring_state()
         return network
 
     def _register(self, node: ChordNode) -> None:
         if node.ident in self._nodes:
             raise NetworkError(f"identifier collision at {node.ident}")
-        self._materialize_fingers()
+        self.materialize_fingers()
         self._nodes[node.ident] = node
         bisect.insort(self._sorted_idents, node.ident)
         self._membership_generation += 1
         self._ring_exact = False
 
     def _unregister(self, node: ChordNode) -> None:
-        self._materialize_fingers()
+        self.materialize_fingers()
         del self._nodes[node.ident]
         index = bisect.bisect_left(self._sorted_idents, node.ident)
         self._sorted_idents.pop(index)
         self._membership_generation += 1
         self._ring_exact = False
 
-    def _materialize_fingers(self) -> None:
-        """Build the deferred finger tables before membership changes.
-
-        A lazy-finger ring loses snapshot routing the moment membership
-        changes (the ring is no longer exact), so the object walk —
-        which needs real finger tables — must be ready first.
-        """
-        if self._lazy_fingers:
-            self._lazy_fingers = False
-            self.rebuild_ring_state()
-
     def rebuild_ring_state(self) -> None:
-        """Set every pointer (successors, predecessors, fingers) exactly.
+        """Set every successor and predecessor pointer exactly.
 
         Equivalent to letting stabilization run to quiescence; used by
         :meth:`build` and available to tests that damage the ring.
+        Finger tables are marked stale, to be refilled from the new
+        membership by :meth:`materialize_fingers`.
         """
         idents = self._sorted_idents
         count = len(idents)
-        lazy = self._lazy_fingers
+        nodes = self._nodes
         for position, ident in enumerate(idents):
-            node = self._nodes[ident]
-            successors = [
-                self._nodes[idents[(position + offset) % count]]
+            node = nodes[ident]
+            node.successor_list = [
+                nodes[idents[(position + offset) % count]]
                 for offset in range(1, min(count, node.successor_list_size + 1))
             ]
-            node.successor_list = successors
-            node.predecessor = self._nodes[idents[(position - 1) % count]] if count > 1 else node
-            if not lazy:
-                for j in range(self.space.m):
-                    node.fingers[j] = self._oracle_successor(node.finger_start(j))
+            node.predecessor = nodes[idents[(position - 1) % count]] if count > 1 else node
         self._ring_exact = True
+        self._fingers_stale = True
+
+    def materialize_fingers(self) -> None:
+        """Fill every stale finger table from the membership oracle.
+
+        Called before a membership change, by the router whenever it
+        falls back to the object walk, and by a live cluster, whose
+        peers forward on ``node.fingers`` themselves.  Successor and
+        predecessor pointers are left alone, so damage to them stays
+        visible.  A no-op while the fingers are current.
+        """
+        if not self._fingers_stale:
+            return
+        self._fingers_stale = False
+        for node in self._nodes.values():
+            fingers = node.fingers
+            for j in range(self.space.m):
+                fingers[j] = self._oracle_successor(node.finger_start(j))
 
     # ------------------------------------------------------------------
     # Snapshot routing
     # ------------------------------------------------------------------
-    def enable_fast_routing(self) -> None:
-        """Turn on snapshot routing for an already-built exact ring."""
-        self.fast_routing = True
-
     def ring_snapshot(self) -> Optional[RingSnapshot]:
         """The current :class:`RingSnapshot`, or ``None`` when invalid.
 
-        A snapshot is only handed out while ``fast_routing`` is enabled
-        *and* the ring is exact (no membership change since the last
-        full rebuild).  Rebuilds are O(1)-amortized: membership changes
-        just bump a generation counter, and the sorted-array copy
-        happens at most once per generation, on first use.
+        A snapshot is only handed out while the ring is exact (no
+        membership change since the last full rebuild).  Rebuilds are
+        O(1)-amortized: membership changes just bump a generation
+        counter, and the sorted-array copy happens at most once per
+        generation, on first use.
         """
-        if not self.fast_routing or not self._ring_exact or not self._nodes:
+        if not self._ring_exact or not self._nodes:
             return None
         snapshot = self._snapshot
         if snapshot is None or snapshot.generation != self._membership_generation:

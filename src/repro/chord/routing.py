@@ -65,26 +65,30 @@ class Router(Transport):
         #: ring is broken beyond best-effort repair.
         self.max_hops = 4 * space.m + 8
         #: Back-reference to the owning :class:`ChordNetwork`, set by the
-        #: network at construction.  Used only to obtain ring snapshots
-        #: for the fast routing path; ``None`` keeps the object walk.
+        #: network at construction.  Supplies ring snapshots and
+        #: on-demand finger tables; ``None`` keeps the object walk.
         self.ring = None
 
-    def _live_snapshot(self):
-        """The ring snapshot when the fast path may be used, else ``None``.
+    def _live_snapshot(self, start: ChordNode):
+        """The ring snapshot to route from ``start`` on, else ``None``.
 
-        The fast path replicates the *cooperative* object walk, so it
-        bows out whenever a fault injector can perturb deliveries (the
-        object path then owns retries/delays/fallbacks).  Crash churn is
-        covered separately: ``fail``/``leave``/``join`` invalidate the
-        snapshot at the network.
+        Snapshot routing replicates the *cooperative* object walk on an
+        exact ring, so it bows out whenever a fault injector can perturb
+        deliveries (the object path then owns retries/delays/fallbacks)
+        and whenever membership changed since the last full rebuild.
+        Before returning ``None`` it has the network fill the finger
+        tables the object walk reads.
         """
         ring = self.ring
         if ring is None:
             return None
         injector = self.injector
-        if injector is not None and injector.perturbs_delivery:
-            return None
-        return ring.ring_snapshot()
+        if injector is None or not injector.perturbs_delivery:
+            snapshot = ring.ring_snapshot()
+            if snapshot is not None and start.ident in snapshot:
+                return snapshot
+        ring.materialize_fingers()
+        return None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -96,8 +100,8 @@ class Router(Transport):
         the lookup to the farthest finger that does not overshoot
         ``ident``; the node responsible for ``ident`` keeps it.
         """
-        snapshot = self._live_snapshot()
-        if snapshot is not None and start.ident in snapshot:
+        snapshot = self._live_snapshot(start)
+        if snapshot is not None:
             position, hops = snapshot.find_successor(start.ident, ident)
             return self.ring._nodes[snapshot.idents[position]], hops
         size = self.space.size
@@ -309,9 +313,9 @@ class Router(Transport):
         """
         if not idents:
             return []
-        snapshot = self._live_snapshot()
-        if snapshot is not None and source.ident in snapshot:
-            return self._multisend_recursive_fast(snapshot, source, messages, idents)
+        snapshot = self._live_snapshot(source)
+        if snapshot is not None:
+            return self._multisend_recursive_snapshot(snapshot, source, messages, idents)
         order = self.space.sort_clockwise(source.ident, list(idents))
         pending: dict[int, list[int]] = {}
         for position, ident in enumerate(idents):
@@ -343,7 +347,7 @@ class Router(Transport):
         self._record_mixed_batch(messages, total_hops)
         return [target if target is not None else current for target in targets]
 
-    def _multisend_recursive_fast(
+    def _multisend_recursive_snapshot(
         self,
         snapshot,
         source: ChordNode,

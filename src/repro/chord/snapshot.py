@@ -10,7 +10,7 @@ The snapshot replicates the object walk *exactly*, hop for hop:
 
 * ``find_successor`` mirrors :meth:`repro.chord.routing.Router.find_successor`
   (ownership test, successor shortcut, greedy finger forwarding);
-* ``walk`` mirrors the recursive-multisend traversal
+* ``walk_pos`` mirrors the recursive-multisend traversal
   (:meth:`repro.chord.routing.Router._walk`), which counts the final
   handover hop only when the walk actually moves;
 * ``closest_preceding_finger`` evaluates the finger-table scan of
@@ -31,12 +31,12 @@ all alive.  ``ChordNetwork`` tracks both conditions and hands out
 ``None`` instead of a stale snapshot (see ``ring_snapshot``); the
 differential tests in ``tests/chord/test_snapshot_differential.py``
 assert hop-exact agreement with the object walk across random
-memberships, wrap-around identifiers and join/leave sequences.
+memberships and wrap-around identifiers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
 
 from ..errors import RoutingError
 
@@ -107,23 +107,6 @@ class RingSnapshot:
         index = bisect_left(self.idents, ident)
         return 0 if index == self.n else index
 
-    def successor_ident(self, ident: int) -> int:
-        """``Successor(ident)`` for an arbitrary identifier."""
-        return self.idents[self.owner_pos(ident)]
-
-    def node_successor_pos(self, pos: int) -> int:
-        """Ring successor of the member at ``pos``."""
-        pos += 1
-        return 0 if pos == self.n else pos
-
-    def node_predecessor_pos(self, pos: int) -> int:
-        """Ring predecessor of the member at ``pos``."""
-        return pos - 1 if pos else self.n - 1
-
-    def predecessor_ident(self, ident: int) -> int:
-        """Ring predecessor of member ``ident`` (itself on a 1-ring)."""
-        return self.idents[self.node_predecessor_pos(self._pos[ident])]
-
     def owns(self, pos: int, ident: int) -> bool:
         """Ownership test of the member at ``pos``: ``(pred, self]``."""
         if self.n == 1:
@@ -185,19 +168,14 @@ class RingSnapshot:
 
     def find_successor(self, start_ident: int, ident: int) -> tuple[int, int]:
         """``(owner position, hops)`` — mirrors ``Router.find_successor``."""
-        pos, hops = self._route(self._pos[start_ident], ident, lookup=True)
-        return pos, hops
-
-    def walk(self, start_ident: int, ident: int) -> tuple[int, int]:
-        """``(owner position, hops)`` — mirrors the multisend ``_walk``."""
-        return self._route(self._pos[start_ident], ident, lookup=False)
+        return self._route(self._pos[start_ident], ident, lookup=True)
 
     def walk_pos(self, start_pos: int, ident: int) -> tuple[int, int]:
-        """:meth:`walk` addressed by array position (hot path)."""
+        """``(owner position, hops)`` — mirrors the multisend ``_walk``."""
         return self._route(start_pos, ident, lookup=False)
 
     def _route(self, pos: int, ident: int, *, lookup: bool) -> tuple[int, int]:
-        """Shared forwarding loop of ``find_successor`` and ``walk``.
+        """Shared forwarding loop of ``find_successor`` and ``walk_pos``.
 
         The two object loops differ only in where the successor
         shortcut stops: ``find_successor`` returns the successor
@@ -236,31 +214,6 @@ class RingSnapshot:
                     f"{kind} toward {ident} exceeded {max_hops} hops; "
                     f"ring snapshot is inconsistent"
                 )
-
-    # ------------------------------------------------------------------
-    # Derivation
-    # ------------------------------------------------------------------
-    def with_member(self, ident: int) -> "RingSnapshot":
-        """A new snapshot with ``ident`` added (test/maintenance helper)."""
-        if ident in self._pos:
-            raise ValueError(f"identifier {ident} is already a member")
-        idents = list(self.idents)
-        insort(idents, ident)
-        return RingSnapshot(
-            idents, self.m, self.successor_list_size, self.generation + 1
-        )
-
-    def without_member(self, ident: int) -> "RingSnapshot":
-        """A new snapshot with ``ident`` removed (test/maintenance helper)."""
-        if ident not in self._pos:
-            raise ValueError(f"identifier {ident} is not a member")
-        if self.n == 1:
-            raise ValueError("cannot empty a ring snapshot")
-        idents = list(self.idents)
-        idents.pop(bisect_right(idents, ident) - 1)
-        return RingSnapshot(
-            idents, self.m, self.successor_list_size, self.generation + 1
-        )
 
 
 class SegmentMap:

@@ -86,17 +86,7 @@ class EngineConfig:
     recursive_multisend: bool = True
     #: DAI-V keyed variant (``Hash(Key(q) + valJC)``, Section 4.5 end).
     daiv_keyed: bool = False
-    #: Defer per-node state/handler attachment until a first message
-    #: arrives (``None`` = automatic: lazy on fast-routing rings and on
-    #: rings of :data:`LAZY_ADOPTION_THRESHOLD`+ nodes).  Large-scale
-    #: sweeps touch a sparse subset of nodes, so eager adoption would
-    #: dominate setup time and memory.
-    lazy_adoption: Optional[bool] = None
     seed: int = 0
-
-
-#: Ring size at which engines switch to lazy adoption automatically.
-LAZY_ADOPTION_THRESHOLD = 8192
 
 
 class ContinuousQueryEngine:
@@ -150,21 +140,16 @@ class ContinuousQueryEngine:
         #: :mod:`repro.sim.shard`).
         self.notification_gateway = None
         #: Every node state this engine ever attached, by identifier.
-        #: Window eviction iterates this registry instead of the whole
-        #: ring, so lazily adopted million-node networks pay per
-        #: *touched* node, not per member (see :meth:`adopted_states`).
+        #: Nodes are adopted lazily, on first delivery (or first
+        #: :meth:`state` call): a workload touches a sparse subset of a
+        #: large ring, and window eviction iterates this registry, so
+        #: setup, memory and sweeps pay per *touched* node, not per
+        #: member (see :meth:`adopted_states`).
         self._adopted: dict[int, NodeState] = {}
 
-        lazy = self.config.lazy_adoption
-        if lazy is None:
-            lazy = network.fast_routing or len(network) >= LAZY_ADOPTION_THRESHOLD
-        if lazy:
-            adopt = self.adopt
-            for node in network:
-                node.adopt_hook = adopt
-        else:
-            for node in network:
-                self.adopt(node)
+        adopt = self.adopt
+        for node in network:
+            node.adopt_hook = adopt
         network.transfer_hook = self._transfer
 
     @property

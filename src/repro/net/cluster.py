@@ -109,6 +109,8 @@ class LiveCluster:
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config if config is not None else ClusterConfig()
         self.network = ChordNetwork.build(self.config.n_nodes)
+        # Peers forward on ``node.fingers`` themselves (NetPeer._next_hop).
+        self.network.materialize_fingers()
         self.engine = ContinuousQueryEngine(
             self.network,
             EngineConfig(

@@ -37,6 +37,7 @@ class TestBuild:
             assert node.predecessor is nodes[(position - 1) % len(nodes)]
 
     def test_fingers_point_to_oracle_successors(self, tiny_network):
+        tiny_network.materialize_fingers()
         for node in tiny_network.nodes:
             for j in range(tiny_network.space.m):
                 expected = tiny_network.responsible_node(node.finger_start(j))

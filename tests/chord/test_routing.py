@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chord import ChordNetwork
 from repro.errors import RoutingError
+from repro.faults import FaultInjector, FaultPlan
 from repro.sim.messages import Message
 from repro.chord.routing import multisend_cost
 
@@ -153,12 +154,15 @@ def _shared():
 
 
 class TestRoutingRobustness:
-    def test_gives_up_when_hop_limit_exceeded(self):
+    def test_gives_up_when_hop_limit_exceeded(self, monkeypatch):
         """Finger-less successor walking past the hop budget must fail
         loudly instead of walking the whole ring."""
         network = ChordNetwork.build(200, m=8)  # max_hops = 4*8 + 8 = 40
+        network.materialize_fingers()
         for node in network:
             node.fingers = [None] * network.space.m
+        # Force the object walk, which is the one that reads the fingers.
+        monkeypatch.setattr(network, "ring_snapshot", lambda: None)
         nodes = network.nodes
         start = nodes[0]
         # The node just behind the start is a near-full ring walk away;
@@ -179,3 +183,41 @@ class TestRoutingRobustness:
                 small_network.random_node(rng), ident
             )
             assert found.alive
+
+
+class TestOnDemandFingers:
+    """A lossy injector moves routing onto the object walk, which must
+    first fill the finger tables ``build`` leaves stale — otherwise
+    lookups crawl along successor lists and exceed the hop budget."""
+
+    N_NODES = 2000
+
+    @staticmethod
+    def _route(network):
+        rng = random.Random(7)
+        nodes = network.nodes
+        routes = []
+        for _ in range(200):
+            source = nodes[rng.randrange(len(nodes))]
+            node, hops = network.router.find_successor(
+                source, rng.randrange(network.space.size)
+            )
+            routes.append((node.ident, hops))
+        return routes
+
+    @staticmethod
+    def _lossy():
+        return FaultInjector(FaultPlan(loss_probability=0.1))
+
+    @pytest.mark.parametrize("attached", ["at-build", "later"])
+    def test_object_walk_materializes_fingers(self, attached):
+        reference = ChordNetwork.build(self.N_NODES, injector=self._lossy())
+        reference.materialize_fingers()
+        expected = self._route(reference)
+        if attached == "at-build":
+            network = ChordNetwork.build(self.N_NODES, injector=self._lossy())
+        else:
+            network = ChordNetwork.build(self.N_NODES)
+            network.router.injector = self._lossy()
+        assert self._route(network) == expected
+        assert max(hops for _, hops in expected) <= network.space.m

@@ -1,10 +1,13 @@
 """Miscellaneous engine behaviour: adoption, accounting, config."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig
 from repro.errors import QueryError
 from repro.core.engine import make_algorithm
+from repro.sim.messages import UnsubscribeMessage
 
 
 class TestConfig:
@@ -33,10 +36,23 @@ class TestAdoption:
         assert engine.adopt(node) is state
         assert engine.state(node) is state
 
-    def test_all_nodes_adopted_at_construction(self, engine_factory):
+    def test_nodes_adopted_on_first_delivery(self, engine_factory):
         engine = engine_factory()
-        for node in engine.network:
-            assert node.app is not None
+        network = engine.network
+        assert list(engine.adopted_states()) == []
+        assert all(node.app is None for node in network)
+        source, destination = network.nodes[0], network.nodes[5]
+        message = UnsubscribeMessage(query_key="absent")
+        target = network.router.send(source, message, destination.ident)
+        assert target is destination
+        assert [ident for ident, _ in engine.adopted_states()] == [target.ident]
+        assert [node for node in network if node.app is not None] == [target]
+        load = engine.load_snapshot()
+        members = {node.ident for node in network}
+        for vector in fields(load):
+            column = getattr(load, vector.name)
+            assert set(column) == members
+            assert all(column[ident] == 0 for ident in members - {target.ident})
 
     def test_late_joiner_adopted_lazily(self, engine_factory):
         engine = engine_factory()

@@ -50,8 +50,8 @@ def serial_reference(algorithm, workload, seed=1):
     }
 
 
-def sharded_run(algorithm, workload, *, shards, seed=1, fast_routing=True):
-    network = ChordNetwork.build(POINT.n_nodes, fast_routing=fast_routing)
+def sharded_run(algorithm, workload, *, shards, seed=1):
+    network = ChordNetwork.build(POINT.n_nodes)
     engine = ContinuousQueryEngine(
         network, EngineConfig(algorithm=algorithm, index_choice="random", seed=seed)
     )
@@ -81,9 +81,16 @@ class TestStagedEquivalence:
         assert result.duplicate_deliveries == 0
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_staged_without_fast_routing_matches_serial(self, algorithm, workload):
+    def test_object_walk_matches_snapshot_path(self, algorithm, workload, monkeypatch):
+        """Serial and staged runs over object fingers ≡ the snapshot path.
+
+        Every exact ring routes on its snapshot, so hiding the snapshot
+        is the only way a workload reaches the object finger walk.
+        """
         expected = serial_reference(algorithm, workload)
-        _, got = sharded_run(algorithm, workload, shards=1, fast_routing=False)
+        monkeypatch.setattr(ChordNetwork, "ring_snapshot", lambda self: None)
+        assert serial_reference(algorithm, workload) == expected
+        _, got = sharded_run(algorithm, workload, shards=1)
         assert got == expected
 
 
@@ -106,7 +113,7 @@ class TestCapabilities:
     """
 
     def _engine(self, **overrides):
-        network = ChordNetwork.build(64, fast_routing=True)
+        network = ChordNetwork.build(64)
         config = EngineConfig(algorithm="sai", index_choice="random", **overrides)
         return ContinuousQueryEngine(network, config)
 
