@@ -6,7 +6,9 @@ Two costs recur at every epoch barrier of a full-feature sharded run:
   the serial cutoff.  Almost all nodes hold nothing expired, so the
   number that matters is the per-idle-node cost of the
   ``pending_before`` heap peek, measured here against a population
-  where only a small fraction of nodes have pending expirations.
+  where only a small fraction of nodes have pending expirations.  The
+  node states are built windowed, as the engine builds them whenever a
+  window is configured (unwindowed tables keep no heap to peek).
 * **cross-shard record resolution** — staged ``(ts, time, owner,
   message)`` records are partitioned by owner segment before the
   scatter.  :class:`~repro.chord.snapshot.SegmentMap` resolves owners
@@ -38,7 +40,7 @@ class _Node:
 
 
 def _loaded_state(ident: int, n_items: int, rng: random.Random) -> NodeState:
-    state = NodeState(_Node(ident), 0)
+    state = NodeState(_Node(ident), 0, windowed=True)
     table = state.vltt
 
     class _Tuple:

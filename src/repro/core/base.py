@@ -30,7 +30,7 @@ from ..sim.messages import (
     VLIndexMessage,
 )
 from ..sim.stats import NodeLoad
-from ..sql.query import JoinQuery, RewrittenQuery, rewrite
+from ..sql.query import JoinQuery, RewrittenQuery, TriggerBinding, rewrite
 from ..sql.tuples import DataTuple, ProjectedTuple
 from ..sql.expr import canonical_value
 from .index_choice import ArrivalStats
@@ -63,14 +63,18 @@ class StorageBreakdown:
 
 
 class NodeState:
-    """Per-node application state attached to ``ChordNode.app``."""
+    """Per-node application state attached to ``ChordNode.app``.
 
-    def __init__(self, node: ChordNode, jfrt_capacity: int = 0):
+    ``windowed`` says whether the engine runs a sliding window: only
+    then do the value-level tables keep eviction heaps.
+    """
+
+    def __init__(self, node: ChordNode, jfrt_capacity: int = 0, windowed: bool = True):
         self.node = node
         self.alqt = AttributeLevelQueryTable()
-        self.vlqt = ValueLevelQueryTable()
-        self.vltt = ValueLevelTupleTable()
-        self.projections = ProjectionStore()
+        self.vlqt = ValueLevelQueryTable(windowed)
+        self.vltt = ValueLevelTupleTable(windowed)
+        self.projections = ProjectionStore(windowed)
         #: Notifications parked for offline subscribers, keyed by
         #: subscriber identifier (routing identifier for handoff).
         self.parked: dict[int, list[Notification]] = {}
@@ -326,6 +330,13 @@ class Algorithm:
     ) -> list[str]:
         """Trigger one query group with ``tup``; fill evaluator batches.
 
+        The group shares its join condition, so the trigger-derived
+        values, the shared select tuples and — unless the algorithm
+        places each query on its own (:meth:`ident_per_query`) — the
+        evaluator identifier are computed once per index side, in a
+        :class:`~repro.sql.query.TriggerBinding`; per query remain the
+        time and filter checks, the key and the rewritten query itself.
+
         Returns the rewritten keys to remember as "sent" (DAI-T only).
         ``force_resend`` bypasses the never-resend memory so republished
         tuples can rebuild evaluator state lost to a crash.
@@ -335,28 +346,37 @@ class Algorithm:
         projection: Optional[ProjectedTuple] = None
         pub_time = tup.pub_time
         remembers = self.remembers_sent_keys(engine)
-        already_sent = group.sent_rewritten_keys
+        already_sent = group.sent_rewritten_keys if remembers and not force_resend else ()
         wants_projection = self.wants_projection
+        per_query_ident = self.ident_per_query(engine)
         evaluator_ident = self.evaluator_ident
-        batches_get = batches.get
+        # index label -> [binding, its batch once the ident is known]
+        bound: dict[str, list] = {}
         for entry in group.entries:
             query = entry.query
-            side = query.side(entry.index_label)
+            label = entry.index_label
             if pub_time < query.insertion_time:
                 continue
-            if not side.accepts(tup):
+            if not query.side(label).accepts(tup):
                 continue
-            rewritten = rewrite(query, entry.index_label, tup)
+            side_state = bound.get(label)
+            if side_state is None:
+                side_state = bound[label] = [TriggerBinding(query, label, tup), None]
+            rewritten = rewrite(query, label, tup, side_state[0])
             key = rewritten.key
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            if remembers and not force_resend and key in already_sent:
+            if key in already_sent:
                 continue
-            ident = evaluator_ident(engine, rewritten)
-            batch = batches_get(ident)
+            batch = side_state[1]
             if batch is None:
-                batch = batches[ident] = ([], [])
+                ident = evaluator_ident(engine, rewritten)
+                batch = batches.get(ident)
+                if batch is None:
+                    batch = batches[ident] = ([], [])
+                if not per_query_ident:
+                    side_state[1] = batch
             batch[0].append(rewritten)
             if wants_projection:
                 if projection is None:
@@ -390,21 +410,18 @@ class Algorithm:
         """DAI-T's never-resend optimization (see its docstring)."""
         return False
 
-    def _skip_already_sent(
-        self,
-        engine: "ContinuousQueryEngine",
-        group: QueryGroup,
-        rewritten: RewrittenQuery,
-    ) -> bool:
-        if not self.remembers_sent_keys(engine):
-            return False
-        return rewritten.key in group.sent_rewritten_keys
-
     def evaluator_ident(
         self, engine: "ContinuousQueryEngine", rewritten: RewrittenQuery
     ) -> int:
         """The value-level identifier a rewritten query is sent to."""
         raise NotImplementedError
+
+    def ident_per_query(self, engine: "ContinuousQueryEngine") -> bool:
+        """Whether :meth:`evaluator_ident` can differ between the queries
+        of one group for one trigger.  Only keyed DAI-V hashes the query
+        key; every other placement is a function of the join condition
+        and the trigger alone (the paper's grouping, Section 4.3.5)."""
+        return False
 
     def _dispatch_join_batches(
         self,
@@ -503,26 +520,37 @@ class Algorithm:
         self,
         engine: "ContinuousQueryEngine",
         state: NodeState,
-        rewritten: RewrittenQuery,
+        rewritten_queries,
     ) -> list[Notification]:
-        """Evaluate one rewritten query against the local VLTT."""
-        candidates = state.vltt.candidates(
-            rewritten.relation, rewritten.dis_attribute or "", rewritten.dis_value
-        )
-        state.load.add_value_level(len(candidates))
+        """Evaluate rewritten queries against the local VLTT.
+
+        The queries of one ``join()`` message mostly share one
+        ``(relation, dis attribute, dis value)`` bucket, so each
+        distinct bucket is fetched once; the filtering load still counts
+        the candidates examined per rewritten query.
+        """
+        vltt_candidates = state.vltt.candidates
+        add_value_level = state.load.add_value_level
+        window = engine.config.window
+        fetched: dict[tuple, list] = {}
         notifications = []
-        for stored in candidates:
-            if not self._within_window(
-                engine, stored.tuple.pub_time, rewritten.trigger_pub_time
-            ):
-                continue
-            if not rewritten.matches(stored.tuple, check_value=False):
-                continue
-            notification = self._emit(
-                engine, state, rewritten, stored.tuple, rewritten.trigger_pub_time
-            )
-            if notification is not None:
-                notifications.append(notification)
+        for rewritten in rewritten_queries:
+            where = (rewritten.relation, rewritten.dis_attribute or "", rewritten.dis_value)
+            candidates = fetched.get(where)
+            if candidates is None:
+                candidates = fetched[where] = vltt_candidates(*where)
+            add_value_level(len(candidates))
+            trigger_time = rewritten.trigger_pub_time
+            for stored in candidates:
+                tup = stored.tuple
+                # _within_window, inlined: this runs per (query, tuple) pair.
+                if window is not None and abs(trigger_time - tup.pub_time) > window:
+                    continue
+                if not rewritten.matches(tup, check_value=False):
+                    continue
+                notification = self._emit(engine, state, rewritten, tup, trigger_time)
+                if notification is not None:
+                    notifications.append(notification)
         return notifications
 
     def _match_tuple_against_rewritten(

@@ -37,11 +37,7 @@ class DAIQuery(DoubleAttributeIndex):
         """Evaluate against stored tuples; do not store the queries."""
         state = engine.state(node)
         state.load.messages_processed += 1
-        notifications = []
-        for rewritten in msg.rewritten:
-            notifications.extend(
-                self._match_rewritten_against_tuples(engine, state, rewritten)
-            )
+        notifications = self._match_rewritten_against_tuples(engine, state, msg.rewritten)
         engine.deliver_notifications(node, notifications)
 
     def on_vl_index(

@@ -56,6 +56,10 @@ class DAIValue(DoubleAttributeIndex):
         # parts lookup computes the same identifier.
         return engine.network.hash.hash_parts(rewritten.required_value)
 
+    def ident_per_query(self, engine: "ContinuousQueryEngine") -> bool:
+        """The keyed variant spreads a group over one evaluator per query."""
+        return engine.config.daiv_keyed
+
     def on_join(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: JoinMessage
     ) -> None:

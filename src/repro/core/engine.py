@@ -171,7 +171,9 @@ class ContinuousQueryEngine:
         if isinstance(node.app, NodeState):
             self._adopted[node.ident] = node.app
             return node.app
-        state = NodeState(node, self.config.jfrt_capacity)
+        state = NodeState(
+            node, self.config.jfrt_capacity, windowed=self.config.window is not None
+        )
         node.app = state
         self._adopted[node.ident] = state
         algorithm = self.algorithm

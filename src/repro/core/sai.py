@@ -66,24 +66,20 @@ class SingleAttributeIndex(Algorithm):
         state = engine.state(node)
         state.load.messages_processed += 1
         window = engine.config.window
-        notifications = []
+        vlqt_add = state.vlqt.add
         # Batches are grouped per evaluator identifier (§4.3.5), so every
         # rewritten query in the message shares the same ident.
         ident = None
+        to_match = []
         for rewritten in msg.rewritten:
             if ident is None:
                 ident = self.evaluator_ident(engine, rewritten)
-            previous = state.vlqt.peek(rewritten)
-            was_expired = (
-                previous is not None
-                and window is not None
-                and rewritten.trigger_pub_time - previous.latest_trigger_time > window
-            )
-            _, is_new = state.vlqt.add(rewritten, ident)
-            if is_new or was_expired:
-                notifications.extend(
-                    self._match_rewritten_against_tuples(engine, state, rewritten)
-                )
+            _, is_new, previous = vlqt_add(rewritten, ident)
+            if is_new or (
+                window is not None and rewritten.trigger_pub_time - previous > window
+            ):
+                to_match.append(rewritten)
+        notifications = self._match_rewritten_against_tuples(engine, state, to_match)
         engine.deliver_notifications(node, notifications)
 
     def on_vl_index(

@@ -12,17 +12,34 @@ so responsibility handoff on node join/leave is a filter over the
 tables (Chord transfers "all data related to Id(n)").
 
 Sliding-window eviction (``evict_older_than``) is driven by per-table
-lazy min-heaps of ``(time, seq, locator...)`` records instead of
-rescanning every bucket each window round: eviction pops only records
-older than the cutoff, validates each against the live entry (records
-go stale when an entry was handed off, replaced, or had its time
-refreshed) and re-arms refreshed entries with their current time.  The
-set of entries evicted for a given cutoff is exactly the full-scan set —
-every live entry older than the cutoff has at least one heap record at
-or below its current time — only the work is proportional to the number
-of expirations, not the table size.  ``pop_matching`` (responsibility
-handoff) stays a scan: it filters by routing identifier, which no
-time-ordered structure helps with, and runs only on churn events.
+lazy min-heaps instead of rescanning every bucket each window round.
+The heaps exist only on *windowed* tables (``windowed=True``, the
+engine's choice whenever ``EngineConfig.window`` is set); an unwindowed
+table pushes no records and answers ``pending_before`` /
+``evict_older_than`` by a full scan, which no engine run ever asks for.
+
+* The VLTT and the DAI-V projection store keep one ``(time, seq,
+  locator...)`` record per stored item.  Eviction pops only records
+  older than the cutoff and validates each against the live item
+  (records go stale when an item was handed off or replaced).
+* The VLQT keeps at most one live record per *bucket* (one
+  ``(relation, dis attribute, dis value)`` key), at a time no later
+  than the bucket's oldest entry.  The rewritten queries of one
+  ``join()`` message share their trigger time and, for SAI and the
+  DAI family, their bucket, so the first insert of a message arms the
+  bucket and the rest find it armed.  Popping a record sweeps its
+  bucket — evicts every entry older than the cutoff — and re-arms it at
+  the oldest survivor.  Entries carry no record of their own, so a
+  refresh or a handoff re-insert needs no heap work.
+
+Either way the set of entries evicted for a given cutoff is exactly the
+full-scan set — every live entry older than the cutoff is covered by a
+record at or below its current time — while the work is proportional
+to the number of expirations (VLTT, projections) or of expiring
+buckets (VLQT), not to the table size.  ``pop_matching``
+(responsibility handoff) stays a scan: it filters by routing
+identifier, which no time-ordered structure helps with, and runs only
+on churn events.
 """
 
 from __future__ import annotations
@@ -162,51 +179,106 @@ class AttributeLevelQueryTable:
 # Value level: rewritten queries at evaluators
 # ----------------------------------------------------------------------
 
-@dataclass(slots=True)
-class StoredRewritten:
+@dataclass(slots=True, eq=False)
+class StoredRewritten(RewrittenQuery):
     """A rewritten query at an evaluator, with its trigger-time memory.
 
     When a rewritten query with a key that is already present arrives,
     "only pubT(t) is stored along with q'" (Section 4.3.3) — hence the
     ``latest_trigger_time`` update instead of a second copy.
+
+    The entry is a copy of the arriving query extended by the two
+    evaluator-side fields, not a wrapper around it: a windowed evaluator
+    holds tens of thousands of entries, and every extra object per entry
+    is one more for each full garbage collection to rescan.
     """
 
-    rewritten: RewrittenQuery
     routing_ident: int
     latest_trigger_time: float
+
+    @classmethod
+    def of(
+        cls, rewritten: RewrittenQuery, routing_ident: int, latest_trigger_time: float
+    ) -> "StoredRewritten":
+        """Store ``rewritten``; positional, in field order, for speed."""
+        return cls(
+            rewritten.key,
+            rewritten.original_key,
+            rewritten.group_signature,
+            rewritten.subscriber,
+            rewritten.insertion_time,
+            rewritten.relation,
+            rewritten.expr,
+            rewritten.required_value,
+            rewritten.dis_attribute,
+            rewritten.dis_value,
+            rewritten.filters,
+            rewritten.select,
+            rewritten.trigger_pub_time,
+            routing_ident,
+            latest_trigger_time,
+        )
+
+    @property
+    def rewritten(self) -> RewrittenQuery:
+        """The stored rewritten query: the entry itself."""
+        return self
 
     def refresh(self, trigger_time: float) -> None:
         if trigger_time > self.latest_trigger_time:
             self.latest_trigger_time = trigger_time
 
 
+class _QueryBucket(dict):
+    """The VLQT entries under one ``(level 1, value)`` key, by rewritten
+    key, plus the time of the bucket's live eviction record (``None``
+    while unarmed)."""
+
+    __slots__ = ("armed",)
+
+    def __init__(self):
+        super().__init__()
+        self.armed: Optional[float] = None
+
+
 class ValueLevelQueryTable:
     """VLQT: level 1 = load-distributing attribute, level 2 = value."""
 
-    def __init__(self):
-        self._buckets: dict[tuple[str, str], dict[Any, dict[str, StoredRewritten]]] = {}
+    def __init__(self, windowed: bool = True):
+        self._buckets: dict[tuple[str, str], dict[Any, _QueryBucket]] = {}
         self._count = 0
-        #: Lazy eviction queue: ``(trigger_time, seq, level1, value, entry)``
+        self._windowed = windowed
+        #: Lazy eviction queue of ``(time, seq, level1, value)`` bucket
         #: records; see the module docstring.
-        self._evict_heap: list[tuple[float, int, tuple[str, str], Any, StoredRewritten]] = []
+        self._evict_heap: list[tuple[float, int, tuple[str, str], Any]] = []
         self._evict_seq = 0
 
-    def _arm(self, time: float, level1, value, entry: StoredRewritten) -> None:
+    def _arm(self, bucket: _QueryBucket, time: float, level1, value) -> None:
+        bucket.armed = time
         self._evict_seq += 1
-        heapq.heappush(self._evict_heap, (time, self._evict_seq, level1, value, entry))
+        heapq.heappush(self._evict_heap, (time, self._evict_seq, level1, value))
 
     def pending_before(self, cutoff: float) -> bool:
         """True when :meth:`evict_older_than` could evict anything.
 
-        One heap peek — the barrier-aligned eviction replay calls this
-        on every adopted node per round, so it must cost O(1) on the
-        (overwhelmingly common) idle nodes.
+        One heap peek on a windowed table — the barrier-aligned eviction
+        replay calls this on every adopted node per round, so it must
+        cost O(1) on the (overwhelmingly common) idle nodes.
         """
+        if not self._windowed:
+            return any(entry.latest_trigger_time < cutoff for entry in self)
         heap = self._evict_heap
         return bool(heap) and heap[0][0] < cutoff
 
-    def add(self, rewritten: RewrittenQuery, routing_ident: int) -> tuple[StoredRewritten, bool]:
-        """Store (or refresh) a rewritten query; returns (entry, is_new).
+    def add(
+        self, rewritten: RewrittenQuery, routing_ident: int
+    ) -> tuple[StoredRewritten, bool, Optional[float]]:
+        """Store (or refresh) a rewritten query.
+
+        Returns ``(entry, is_new, previous)``: ``previous`` is the
+        entry's trigger time before this refresh (``None`` when new), so
+        SAI's "had the stored copy slid out of the window" test needs no
+        second lookup.
 
         The level-2 key is ``dis_value`` — the attribute value a
         matching tuple carries — so arriving ``vl-index`` tuples find
@@ -214,29 +286,32 @@ class ValueLevelQueryTable:
         dis side is a linear expression.
         """
         level1 = (rewritten.relation, rewritten.dis_attribute or "")
-        level2 = self._buckets.setdefault(level1, {})
-        by_key = level2.setdefault(rewritten.dis_value, {})
-        existing = by_key.get(rewritten.key)
+        level2 = self._buckets.get(level1)
+        if level2 is None:
+            level2 = self._buckets[level1] = {}
+        value = rewritten.dis_value
+        bucket = level2.get(value)
+        if bucket is None:
+            bucket = level2[value] = _QueryBucket()
+        time = rewritten.trigger_pub_time
+        existing = bucket.get(rewritten.key)
         if existing is not None:
-            existing.refresh(rewritten.trigger_pub_time)
-            return existing, False
-        entry = StoredRewritten(rewritten, routing_ident, rewritten.trigger_pub_time)
-        by_key[rewritten.key] = entry
+            previous = existing.latest_trigger_time
+            if time > previous:
+                existing.latest_trigger_time = time
+            return existing, False, previous
+        entry = StoredRewritten.of(rewritten, routing_ident, time)
+        bucket[rewritten.key] = entry
         self._count += 1
-        self._arm(entry.latest_trigger_time, level1, rewritten.dis_value, entry)
-        return entry, True
-
-    def peek(self, rewritten: RewrittenQuery) -> Optional[StoredRewritten]:
-        """The stored entry with this rewritten query's key, if any."""
-        level2 = self._buckets.get((rewritten.relation, rewritten.dis_attribute or ""))
-        if not level2:
-            return None
-        by_key = level2.get(rewritten.dis_value)
-        return by_key.get(rewritten.key) if by_key else None
+        if self._windowed:
+            armed = bucket.armed
+            if armed is None or time < armed:
+                self._arm(bucket, time, level1, value)
+        return entry, True, None
 
     def insert_entry(self, entry: StoredRewritten) -> None:
         """Re-insert a previously stored entry (responsibility handoff)."""
-        stored, is_new = self.add(entry.rewritten, entry.routing_ident)
+        stored, is_new, _ = self.add(entry.rewritten, entry.routing_ident)
         stored.refresh(entry.latest_trigger_time)
         if not is_new:
             stored.routing_ident = entry.routing_ident
@@ -248,52 +323,68 @@ class ValueLevelQueryTable:
         level2 = self._buckets.get((relation, attribute))
         if not level2:
             return []
-        by_key = level2.get(value)
-        return list(by_key.values()) if by_key else []
+        bucket = level2.get(value)
+        return list(bucket.values()) if bucket else []
 
     def evict_older_than(self, cutoff: float) -> int:
         """Drop entries whose latest trigger is before ``cutoff``
         (sliding-window semantics); returns evictions.
 
-        Pops the lazy heap instead of scanning every bucket: a record
-        whose entry is gone or replaced is discarded; one whose entry
-        was refreshed past the cutoff is re-armed at its current time;
-        only records that still describe an expired live entry evict.
+        A windowed table pops its bucket records instead of scanning
+        every bucket: a record that is not its bucket's live one (the
+        bucket is gone, or was re-armed earlier) is discarded; a live
+        one sweeps its bucket and re-arms it at the oldest survivor.
         """
-        heap = self._evict_heap
         buckets = self._buckets
         evicted = 0
-        while heap and heap[0][0] < cutoff:
-            _, _, level1, value, entry = heapq.heappop(heap)
-            level2 = buckets.get(level1)
-            by_key = level2.get(value) if level2 is not None else None
-            if by_key is None or by_key.get(entry.rewritten.key) is not entry:
-                continue  # stale record: entry was handed off or replaced
-            current_time = entry.latest_trigger_time
-            if current_time >= cutoff:
-                self._arm(current_time, level1, value, entry)
-                continue
-            del by_key[entry.rewritten.key]
-            evicted += 1
-            if not by_key:
-                del level2[value]
-                if not level2:
-                    del buckets[level1]
+        if not self._windowed:
+            for level1 in list(buckets):
+                for value in list(buckets[level1]):
+                    evicted += self._sweep(level1, value, cutoff)
+        else:
+            heap = self._evict_heap
+            while heap and heap[0][0] < cutoff:
+                time, _, level1, value = heapq.heappop(heap)
+                level2 = buckets.get(level1)
+                bucket = level2.get(value) if level2 is not None else None
+                if bucket is not None and bucket.armed == time:
+                    evicted += self._sweep(level1, value, cutoff)
         self._count -= evicted
         if PERF.enabled:
             PERF.count("vlqt.evicted", evicted)
         return evicted
+
+    def _sweep(self, level1, value, cutoff: float) -> int:
+        """Evict one bucket's entries older than ``cutoff``; re-arm the
+        bucket at its oldest survivor or drop it when none is left."""
+        level2 = self._buckets[level1]
+        bucket = level2[value]
+        before = len(bucket)
+        oldest = None
+        for key, entry in list(bucket.items()):
+            time = entry.latest_trigger_time
+            if time < cutoff:
+                del bucket[key]
+            elif oldest is None or time < oldest:
+                oldest = time
+        if oldest is None:
+            del level2[value]
+            if not level2:
+                del self._buckets[level1]
+        elif self._windowed:
+            self._arm(bucket, oldest, level1, value)
+        return before - len(bucket)
 
     def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredRewritten]:
         moved: list[StoredRewritten] = []
         for level1 in list(self._buckets):
             level2 = self._buckets[level1]
             for value in list(level2):
-                by_key = level2[value]
-                for key in list(by_key):
-                    if should_move(by_key[key].routing_ident):
-                        moved.append(by_key.pop(key))
-                if not by_key:
+                bucket = level2[value]
+                for key in list(bucket):
+                    if should_move(bucket[key].routing_ident):
+                        moved.append(bucket.pop(key))
+                if not bucket:
                     del level2[value]
             if not level2:
                 del self._buckets[level1]
@@ -305,8 +396,8 @@ class ValueLevelQueryTable:
 
     def __iter__(self) -> Iterator[StoredRewritten]:
         for level2 in self._buckets.values():
-            for by_key in level2.values():
-                yield from by_key.values()
+            for bucket in level2.values():
+                yield from bucket.values()
 
 
 # ----------------------------------------------------------------------
@@ -322,12 +413,57 @@ class StoredTuple:
     routing_ident: int
 
 
+def _scan_evict(buckets: dict, cutoff: float, time_of: Callable[[Any], float]) -> int:
+    """Full-scan eviction of list-valued buckets (unwindowed tables)."""
+    evicted = 0
+    for level1 in list(buckets):
+        level2 = buckets[level1]
+        for value in list(level2):
+            bucket = level2[value]
+            keep = [item for item in bucket if time_of(item) >= cutoff]
+            evicted += len(bucket) - len(keep)
+            if keep:
+                level2[value] = keep
+            else:
+                del level2[value]
+        if not level2:
+            del buckets[level1]
+    return evicted
+
+
+def _pop_matching(buckets: dict, should_move: Callable[[int], bool]) -> list:
+    """Remove and return the items of list-valued buckets whose routing
+    identifier satisfies ``should_move`` (responsibility handoff)."""
+    moved = []
+    for level1 in list(buckets):
+        level2 = buckets[level1]
+        for value in list(level2):
+            keep = []
+            for stored in level2[value]:
+                if should_move(stored.routing_ident):
+                    moved.append(stored)
+                else:
+                    keep.append(stored)
+            if keep:
+                level2[value] = keep
+            else:
+                del level2[value]
+        if not level2:
+            del buckets[level1]
+    return moved
+
+
+def _tuple_time(stored: StoredTuple) -> float:
+    return stored.tuple.pub_time
+
+
 class ValueLevelTupleTable:
     """VLTT: level 1 = tuple's index attribute, level 2 = its value."""
 
-    def __init__(self):
+    def __init__(self, windowed: bool = True):
         self._buckets: dict[tuple[str, str], dict[Any, list[StoredTuple]]] = {}
         self._count = 0
+        self._windowed = windowed
         #: Lazy eviction queue; tuple publication times never change, so
         #: records only go stale when an entry is handed off on churn.
         self._evict_heap: list[tuple[float, int, tuple[str, str], Any, StoredTuple]] = []
@@ -338,11 +474,12 @@ class ValueLevelTupleTable:
         value = stored.tuple.value(stored.index_attribute)
         self._buckets.setdefault(level1, {}).setdefault(value, []).append(stored)
         self._count += 1
-        self._evict_seq += 1
-        heapq.heappush(
-            self._evict_heap,
-            (stored.tuple.pub_time, self._evict_seq, level1, value, stored),
-        )
+        if self._windowed:
+            self._evict_seq += 1
+            heapq.heappush(
+                self._evict_heap,
+                (stored.tuple.pub_time, self._evict_seq, level1, value, stored),
+            )
 
     def candidates(self, relation: str, attribute: str, value: Any) -> list[StoredTuple]:
         """Tuples a rewritten query over ``relation.attribute = value``
@@ -364,50 +501,40 @@ class ValueLevelTupleTable:
 
     def pending_before(self, cutoff: float) -> bool:
         """True when :meth:`evict_older_than` could evict anything."""
+        if not self._windowed:
+            return any(_tuple_time(stored) < cutoff for stored in self)
         heap = self._evict_heap
         return bool(heap) and heap[0][0] < cutoff
 
     def evict_older_than(self, cutoff: float) -> int:
-        heap = self._evict_heap
         buckets = self._buckets
-        evicted = 0
-        while heap and heap[0][0] < cutoff:
-            _, _, level1, value, stored = heapq.heappop(heap)
-            level2 = buckets.get(level1)
-            bucket = level2.get(value) if level2 is not None else None
-            if not bucket:
-                continue  # stale record: bucket drained by handoff
-            for index, candidate in enumerate(bucket):
-                if candidate is stored:
-                    del bucket[index]
-                    evicted += 1
-                    if not bucket:
-                        del level2[value]
-                        if not level2:
-                            del buckets[level1]
-                    break
+        if not self._windowed:
+            evicted = _scan_evict(buckets, cutoff, _tuple_time)
+        else:
+            heap = self._evict_heap
+            evicted = 0
+            while heap and heap[0][0] < cutoff:
+                _, _, level1, value, stored = heapq.heappop(heap)
+                level2 = buckets.get(level1)
+                bucket = level2.get(value) if level2 is not None else None
+                if not bucket:
+                    continue  # stale record: bucket drained by handoff
+                for index, candidate in enumerate(bucket):
+                    if candidate is stored:
+                        del bucket[index]
+                        evicted += 1
+                        if not bucket:
+                            del level2[value]
+                            if not level2:
+                                del buckets[level1]
+                        break
         self._count -= evicted
         if PERF.enabled:
             PERF.count("vltt.evicted", evicted)
         return evicted
 
     def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredTuple]:
-        moved: list[StoredTuple] = []
-        for level1 in list(self._buckets):
-            level2 = self._buckets[level1]
-            for value in list(level2):
-                keep = []
-                for stored in level2[value]:
-                    if should_move(stored.routing_ident):
-                        moved.append(stored)
-                    else:
-                        keep.append(stored)
-                if keep:
-                    level2[value] = keep
-                else:
-                    del level2[value]
-            if not level2:
-                del self._buckets[level1]
+        moved = _pop_matching(self._buckets, should_move)
         self._count -= len(moved)
         return moved
 
@@ -434,6 +561,10 @@ class StoredProjection:
     routing_ident: int
 
 
+def _projection_time(stored: StoredProjection) -> float:
+    return stored.projection.pub_time
+
+
 class ProjectionStore:
     """DAI-V storage: level 1 = (group, relation), level 2 = join value.
 
@@ -442,9 +573,10 @@ class ProjectionStore:
     never create false notifications.
     """
 
-    def __init__(self):
+    def __init__(self, windowed: bool = True):
         self._buckets: dict[tuple[str, str], dict[Any, list[StoredProjection]]] = {}
         self._count = 0
+        self._windowed = windowed
         #: Lazy eviction queue.  A duplicate ``add`` can replace an
         #: entry's projection with a *newer* publication time, so
         #: eviction re-arms records whose entry has outlived them.
@@ -466,7 +598,8 @@ class ProjectionStore:
                 return False
         bucket.append(stored)
         self._count += 1
-        self._arm(stored.projection.pub_time, level1, stored.value, stored)
+        if self._windowed:
+            self._arm(stored.projection.pub_time, level1, stored.value, stored)
         return True
 
     def candidates(
@@ -479,56 +612,46 @@ class ProjectionStore:
 
     def pending_before(self, cutoff: float) -> bool:
         """True when :meth:`evict_older_than` could evict anything."""
+        if not self._windowed:
+            return any(_projection_time(stored) < cutoff for stored in self)
         heap = self._evict_heap
         return bool(heap) and heap[0][0] < cutoff
 
     def evict_older_than(self, cutoff: float) -> int:
-        heap = self._evict_heap
         buckets = self._buckets
-        evicted = 0
-        while heap and heap[0][0] < cutoff:
-            _, _, level1, value, stored = heapq.heappop(heap)
-            level2 = buckets.get(level1)
-            bucket = level2.get(value) if level2 is not None else None
-            if not bucket:
-                continue
-            for index, candidate in enumerate(bucket):
-                if candidate is stored:
-                    current_time = stored.projection.pub_time
-                    if current_time >= cutoff:
-                        # Replaced by a newer duplicate since this
-                        # record was armed: keep it, re-arm.
-                        self._arm(current_time, level1, value, stored)
+        if not self._windowed:
+            evicted = _scan_evict(buckets, cutoff, _projection_time)
+        else:
+            heap = self._evict_heap
+            evicted = 0
+            while heap and heap[0][0] < cutoff:
+                _, _, level1, value, stored = heapq.heappop(heap)
+                level2 = buckets.get(level1)
+                bucket = level2.get(value) if level2 is not None else None
+                if not bucket:
+                    continue
+                for index, candidate in enumerate(bucket):
+                    if candidate is stored:
+                        current_time = stored.projection.pub_time
+                        if current_time >= cutoff:
+                            # Replaced by a newer duplicate since this
+                            # record was armed: keep it, re-arm.
+                            self._arm(current_time, level1, value, stored)
+                            break
+                        del bucket[index]
+                        evicted += 1
+                        if not bucket:
+                            del level2[value]
+                            if not level2:
+                                del buckets[level1]
                         break
-                    del bucket[index]
-                    evicted += 1
-                    if not bucket:
-                        del level2[value]
-                        if not level2:
-                            del buckets[level1]
-                    break
         self._count -= evicted
         if PERF.enabled:
             PERF.count("projections.evicted", evicted)
         return evicted
 
     def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredProjection]:
-        moved: list[StoredProjection] = []
-        for level1 in list(self._buckets):
-            level2 = self._buckets[level1]
-            for value in list(level2):
-                keep = []
-                for stored in level2[value]:
-                    if should_move(stored.routing_ident):
-                        moved.append(stored)
-                    else:
-                        keep.append(stored)
-                if keep:
-                    level2[value] = keep
-                else:
-                    del level2[value]
-            if not level2:
-                del self._buckets[level1]
+        moved = _pop_matching(self._buckets, should_move)
         self._count -= len(moved)
         return moved
 

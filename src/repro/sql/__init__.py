@@ -13,6 +13,7 @@ from .query import (
     QuerySide,
     RewrittenQuery,
     Subscriber,
+    TriggerBinding,
     rewrite,
 )
 from .schema import Relation, Schema, example_elearning_schema
@@ -40,6 +41,7 @@ __all__ = [
     "RIGHT",
     "Schema",
     "Subscriber",
+    "TriggerBinding",
     "evaluate",
     "example_elearning_schema",
     "parse_query",

@@ -338,10 +338,12 @@ class RewrittenQuery:
     One is allocated per (query, trigger tuple) pair — the hottest
     allocation of the simulator — so the class is slotted and skips the
     frozen machinery (a frozen dataclass pays ``object.__setattr__`` per
-    field on *every* construction, ~8x slower).  Instances are immutable
-    by convention: nothing mutates one after ``rewrite()`` returns, and
-    identity/equality is always taken on ``key`` (Section 4.3.3), never
-    on field-wise comparison.
+    field on *every* construction, ~8x slower).  Its ``select`` tuple is
+    not its own: the queries of a group with the same select list share
+    one per trigger (see :class:`TriggerBinding`).  Instances are
+    immutable by convention: nothing mutates one after ``rewrite()``
+    returns, and identity/equality is always taken on ``key`` (Section
+    4.3.3), never on field-wise comparison.
 
     Example from Section 4.3.2: triggering
     ``SELECT R.A, S.B FROM R, S WHERE R.C = S.C`` with ``S(3, 4, 7)``
@@ -440,6 +442,7 @@ class RewritePlan:
         "dis_a",
         "dis_b",
         "select_spec",
+        "select_sig",
         "query_key",
         "group_signature",
         "subscriber",
@@ -487,6 +490,9 @@ class RewritePlan:
             else (None, PendingAttr(ref.attribute))
             for ref in query.select
         )
+        #: The select list as text: plans of one trigger relation with
+        #: equal text bind equal select tuples (see :class:`TriggerBinding`).
+        self.select_sig = ",".join(str(ref) for ref in query.select)
         #: Positional variants of :attr:`index_attr`/:attr:`select_spec`,
         #: bound lazily to the first trigger's ``Relation`` object so
         #: ``rewrite()`` can index ``trigger.values`` directly instead of
@@ -511,77 +517,135 @@ class RewritePlan:
         self.pos_relation = relation
 
 
-def rewrite(query: JoinQuery, index_label: str, trigger) -> RewrittenQuery:
+class TriggerBinding:
+    """One trigger tuple bound to one index side of a query group.
+
+    The queries of an ALQT group share their join condition (Section
+    4.3.5: "similar queries are triggered in a single step"), so for one
+    trigger tuple they take the same required value, the same dis value
+    and — the paper's point — the same evaluator.  Those that also share
+    their select list share the trigger-bound select tuple (with its
+    ``BoundValue`` items) and the key suffix ``+v_1+...+v_l+valJC``.  A
+    binding computes all of that once; :func:`rewrite` then pays per
+    query only for its key and its :class:`RewrittenQuery`.
+
+    Built from any query of the group; :func:`rewrite` trusts the
+    caller that every query it is used with has the same join condition
+    on the same index side.
+    """
+
+    __slots__ = ("trigger", "required_value", "dis_value", "value_suffix", "bound", "selects")
+
+    def __init__(self, query: JoinQuery, index_label: str, trigger):
+        plan = query._rewrite_plans[index_label]
+        relation = trigger.relation
+        if relation.name != plan.index_relation:
+            raise QueryError(
+                f"tuple of {relation.name} cannot trigger side "
+                f"{index_label} ({plan.index_relation}) of query {query.key!r}"
+            )
+        if plan.pos_relation is not relation:
+            plan.bind_positions(relation)
+
+        if plan.index_pos is not None:
+            value = trigger.values[plan.index_pos]
+            required_value = value if type(value) is int else canonical_value(value)
+        else:
+            substituted = substitute(plan.index_expr, plan.index_relation, trigger)
+            if not isinstance(substituted, Const):
+                raise QueryError(
+                    f"index-side expression {plan.index_expr} did not fold to a "
+                    f"constant for tuple {trigger}"
+                )
+            required_value = canonical_value(substituted.value)
+
+        if plan.dis_attribute is None:
+            dis_value = None
+        elif plan.dis_identity:
+            # Identity linear form: already canonical (also covers strings).
+            dis_value = required_value
+        else:
+            try:
+                dis_value = canonical_value((required_value - plan.dis_b) / plan.dis_a)
+            except TypeError as exc:
+                raise QueryError(
+                    f"cannot solve {plan.dis_side.expr} = {required_value!r}: {exc}"
+                ) from exc
+
+        self.trigger = trigger
+        self.required_value = required_value
+        self.dis_value = dis_value
+        self.value_suffix = "+" + str(required_value)
+        #: Per trigger attribute position: its ``BoundValue`` and key
+        #: part, made when a select list first binds the position.
+        self.bound: list[Optional[tuple[BoundValue, str]]] = [None] * len(trigger.values)
+        #: ``select_sig`` -> (select tuple, key suffix after ``Key(q)``).
+        self.selects: dict[str, tuple[tuple[SelectItem, ...], str]] = {}
+
+    def bind_select(self, plan: RewritePlan) -> tuple[tuple[SelectItem, ...], str]:
+        """Bind ``plan``'s select list to the trigger, once per select list."""
+        trigger = self.trigger
+        if plan.pos_relation is not trigger.relation:
+            plan.bind_positions(trigger.relation)
+        bound = self.bound
+        select_items: list[SelectItem] = []
+        key_parts: list[str] = []
+        for bind_position, pending in plan.select_pos_spec:
+            if bind_position is None:
+                select_items.append(pending)
+                continue
+            pair = bound[bind_position]
+            if pair is None:
+                value = trigger.values[bind_position]
+                pair = bound[bind_position] = (BoundValue(value), "+" + str(value))
+            select_items.append(pair[0])
+            key_parts.append(pair[1])
+        key_parts.append(self.value_suffix)
+        shared = (tuple(select_items), "".join(key_parts))
+        self.selects[plan.select_sig] = shared
+        return shared
+
+
+def rewrite(
+    query: JoinQuery,
+    index_label: str,
+    trigger,
+    binding: Optional[TriggerBinding] = None,
+) -> RewrittenQuery:
     """Rewrite ``query`` triggered by tuple ``trigger`` on side ``index_label``.
 
     Replaces every attribute of the index relation in the Select and
     Where clauses with the trigger tuple's values (Section 4.3.2),
     computes the value the remaining side must take, and forms the
     rewritten-query key.  The query-invariant parts come from the
-    memoized :class:`RewritePlan`.
+    memoized :class:`RewritePlan`; what every query of the group shares
+    for this trigger comes from ``binding`` — pass the one
+    :class:`TriggerBinding` of ``trigger`` to every query of a group;
+    without one, a binding is made for this query alone.
     """
     if PERF.enabled:
         PERF.count("sql.rewrites")
     plan = query._rewrite_plans[index_label]
-
-    relation = trigger.relation
-    if relation.name != plan.index_relation:
-        raise QueryError(
-            f"tuple of {relation.name} cannot trigger side "
-            f"{index_label} ({plan.index_relation}) of query {query.key!r}"
-        )
-    if plan.pos_relation is not relation:
-        plan.bind_positions(relation)
-
-    trigger_values = trigger.values
-    if plan.index_pos is not None:
-        value = trigger_values[plan.index_pos]
-        required_value = value if type(value) is int else canonical_value(value)
-    else:
-        substituted = substitute(plan.index_expr, plan.index_relation, trigger)
-        if not isinstance(substituted, Const):
-            raise QueryError(
-                f"index-side expression {plan.index_expr} did not fold to a "
-                f"constant for tuple {trigger}"
-            )
-        required_value = canonical_value(substituted.value)
-
-    if plan.dis_attribute is None:
-        dis_value = None
-    elif plan.dis_identity:
-        # Identity linear form: already canonical (also covers strings).
-        dis_value = required_value
-    else:
-        try:
-            dis_value = canonical_value((required_value - plan.dis_b) / plan.dis_a)
-        except TypeError as exc:
-            raise QueryError(
-                f"cannot solve {plan.dis_side.expr} = {required_value!r}: {exc}"
-            ) from exc
-
-    select_items: list[SelectItem] = []
-    key_parts = [plan.query_key]
-    for bind_position, pending in plan.select_pos_spec:
-        if bind_position is None:
-            select_items.append(pending)
-        else:
-            value = trigger_values[bind_position]
-            select_items.append(BoundValue(value))
-            key_parts.append(str(value))
-    key_parts.append(str(required_value))
-
+    if binding is None:
+        binding = TriggerBinding(query, index_label, trigger)
+    shared = binding.selects.get(plan.select_sig)
+    if shared is None:
+        shared = binding.bind_select(plan)
+    select, key_suffix = shared
+    # Positional, in field order: keyword arguments would triple the
+    # cost of the simulator's hottest allocation.
     return RewrittenQuery(
-        key="+".join(key_parts),
-        original_key=plan.query_key,
-        group_signature=plan.group_signature,
-        subscriber=plan.subscriber,
-        insertion_time=plan.insertion_time,
-        relation=plan.dis_relation,
-        expr=plan.dis_expr,
-        required_value=required_value,
-        dis_attribute=plan.dis_attribute,
-        dis_value=dis_value,
-        filters=plan.dis_filters,
-        select=tuple(select_items),
-        trigger_pub_time=trigger.pub_time,
+        plan.query_key + key_suffix,  # key
+        plan.query_key,  # original_key
+        plan.group_signature,
+        plan.subscriber,
+        plan.insertion_time,
+        plan.dis_relation,  # relation
+        plan.dis_expr,  # expr
+        binding.required_value,
+        plan.dis_attribute,
+        binding.dis_value,
+        plan.dis_filters,  # filters
+        select,
+        trigger.pub_time,  # trigger_pub_time
     )

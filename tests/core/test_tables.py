@@ -104,23 +104,26 @@ class TestALQT:
 class TestVLQT:
     def test_add_new(self):
         table = ValueLevelQueryTable()
-        entry, is_new = table.add(rewritten(), routing_ident=9)
+        entry, is_new, previous = table.add(rewritten(), routing_ident=9)
         assert is_new
+        assert previous is None
         assert entry.latest_trigger_time == 1.0
         assert len(table) == 1
 
     def test_duplicate_key_refreshes_time(self):
         table = ValueLevelQueryTable()
         table.add(rewritten(pub=1.0), 9)
-        entry, is_new = table.add(rewritten(pub=5.0), 9)
+        entry, is_new, previous = table.add(rewritten(pub=5.0), 9)
         assert not is_new
+        assert previous == 1.0
         assert entry.latest_trigger_time == 5.0
         assert len(table) == 1
 
     def test_refresh_never_moves_backwards(self):
         table = ValueLevelQueryTable()
         table.add(rewritten(pub=5.0), 9)
-        entry, _ = table.add(rewritten(pub=1.0), 9)
+        entry, _, previous = table.add(rewritten(pub=1.0), 9)
+        assert previous == 5.0
         assert entry.latest_trigger_time == 5.0
 
     def test_candidates_by_attribute_and_value(self):
@@ -132,18 +135,37 @@ class TestVLQT:
         assert table.candidates("S", "E", 9) == []
         assert table.candidates("S", "D", 7) == []
 
-    def test_peek(self):
+    def test_add_reports_previous_trigger_time(self):
         table = ValueLevelQueryTable()
         rq = rewritten()
-        assert table.peek(rq) is None
-        table.add(rq, 0)
-        assert table.peek(rq) is not None
+        assert table.add(rq, 0)[2] is None
+        assert table.add(rq, 0)[2] == rq.trigger_pub_time
 
     def test_evict_older_than(self):
         table = ValueLevelQueryTable()
         table.add(rewritten(key="old", pub=1.0), 0)
         table.add(rewritten(key="new", pub=10.0), 0)
         assert table.evict_older_than(5.0) == 1
+        assert len(table) == 1
+
+    def test_sweep_survivor_is_evicted_by_a_later_round(self):
+        table = ValueLevelQueryTable()
+        table.add(rewritten(key="old", pub=1.0), 0)
+        table.add(rewritten(key="new", pub=10.0), 0)  # same bucket
+        assert table.evict_older_than(5.0) == 1
+        assert not table.pending_before(5.0)
+        assert table.pending_before(11.0)
+        assert table.evict_older_than(11.0) == 1
+        assert len(table) == 0
+
+    def test_unwindowed_table_keeps_no_heap_but_still_evicts(self):
+        table = ValueLevelQueryTable(windowed=False)
+        table.add(rewritten(key="old", pub=1.0), 0)
+        table.add(rewritten(key="new", pub=10.0), 0)
+        assert table._evict_heap == []
+        assert table.pending_before(5.0)
+        assert table.evict_older_than(5.0) == 1
+        assert not table.pending_before(5.0)
         assert len(table) == 1
 
     def test_pop_matching(self):
@@ -155,10 +177,13 @@ class TestVLQT:
 
     def test_insert_entry_preserves_time(self):
         source = ValueLevelQueryTable()
-        entry, _ = source.add(rewritten(pub=7.0), 3)
+        entry, _, _ = source.add(rewritten(pub=7.0), 3)
         target = ValueLevelQueryTable()
         target.insert_entry(entry)
-        assert target.peek(entry.rewritten).latest_trigger_time == 7.0
+        (moved,) = target
+        assert moved.key == entry.key
+        assert moved.latest_trigger_time == 7.0
+        assert moved.routing_ident == 3
 
 
 class TestVLTT:
