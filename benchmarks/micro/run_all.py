@@ -6,7 +6,8 @@ Usage::
 
 Covers the five hot paths of the optimization pass (see DESIGN.md,
 "Performance"): hashing, table maintenance, finger-walk lookups, the
-recursive multisend sweep, and query rewriting / allocation churn.
+recursive multisend sweep, and query rewriting / allocation churn; plus
+ring set-up and the tracked objects a built ring keeps per node.
 These numbers are for commit-to-commit comparison on one machine; the
 CI regression gate uses the seeded macro-benchmark instead.
 """
@@ -23,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_barrier
 import bench_events
 import bench_expdb
+import bench_footprint
 import bench_hashing
 import bench_multisend
 import bench_rewrite
@@ -36,6 +38,7 @@ SUITES = (
     bench_tables,
     bench_routing,
     bench_snapshot,
+    bench_footprint,
     bench_multisend,
     bench_rewrite,
     bench_events,

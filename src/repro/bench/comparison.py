@@ -82,11 +82,14 @@ def trace_canonical_example(algorithm: str, n_nodes: int = 64) -> dict:
     engine.clock.advance(1)
     engine.publish(network.nodes[3], s_relation, {"D": 2, "C": 7})
 
-    stored_tuples = sum(
-        len(engine.state(node).vltt) + len(engine.state(node).projections)
-        for node in network
+    # Only adopted nodes can store anything; the value level is the VLQT
+    # plus the tuples (VLTT) or projections, which a state creates only
+    # when it stores one.
+    states = [state for _, state in engine.adopted_states()]
+    stored_queries = sum(len(state.vlqt) for state in states)
+    stored_tuples = (
+        sum(state.storage_breakdown().value_level for state in states) - stored_queries
     )
-    stored_queries = sum(len(engine.state(node).vlqt) for node in network)
     return {
         "algorithm": algorithm,
         "rewriter_copies": query_messages,

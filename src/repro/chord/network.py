@@ -74,8 +74,9 @@ class ChordNetwork:
         self._ring_exact = False
         #: Finger tables not filled since the last full rebuild: snapshot
         #: routing never reads them, and building them dominates ring
-        #: construction time.  :meth:`materialize_fingers` fills them
-        #: when the object walk is about to need them.
+        #: construction time and memory.  :meth:`materialize_fingers`
+        #: fills them when the object walk or ring maintenance is about
+        #: to need them.
         self._fingers_stale = False
         #: Bumped on every membership change; O(1) snapshot invalidation.
         self._membership_generation = 0
@@ -121,8 +122,9 @@ class ChordNetwork:
         Node keys are ``"{key_prefix}-{i}"``; identifier collisions
         (possible at small ``m``) are resolved by salting the key, so
         the ring always has exactly ``n_nodes`` distinct identifiers.
-        Successors and predecessors are set exactly; finger tables are
-        left to :meth:`materialize_fingers`.
+        Successors and predecessors are set exactly; every node's
+        ``fingers`` stays the empty tuple until
+        :meth:`materialize_fingers`.
         """
         if n_nodes < 1:
             raise NetworkError("a network needs at least one node")
@@ -176,35 +178,36 @@ class ChordNetwork:
         Finger tables are marked stale, to be refilled from the new
         membership by :meth:`materialize_fingers`.
         """
-        idents = self._sorted_idents
-        count = len(idents)
         nodes = self._nodes
-        for position, ident in enumerate(idents):
-            node = nodes[ident]
-            node.successor_list = [
-                nodes[idents[(position + offset) % count]]
-                for offset in range(1, min(count, node.successor_list_size + 1))
+        ordered = [nodes[ident] for ident in self._sorted_idents]
+        count = len(ordered)
+        # Two laps of the ring, so every successor run is one slice.
+        lap = ordered + ordered
+        for position, node in enumerate(ordered):
+            node.successor_list = lap[
+                position + 1 : position + min(count, node.successor_list_size + 1)
             ]
-            node.predecessor = nodes[idents[(position - 1) % count]] if count > 1 else node
+            node.predecessor = ordered[position - 1] if count > 1 else node
         self._ring_exact = True
         self._fingers_stale = True
 
     def materialize_fingers(self) -> None:
-        """Fill every stale finger table from the membership oracle.
+        """Give every node a full finger list from the membership oracle.
 
-        Called before a membership change, by the router whenever it
-        falls back to the object walk, and by a live cluster, whose
-        peers forward on ``node.fingers`` themselves.  Successor and
-        predecessor pointers are left alone, so damage to them stays
-        visible.  A no-op while the fingers are current.
+        Called before a membership change, before ring maintenance, by
+        the router whenever it falls back to the object walk, and by a
+        live cluster, whose peers forward on ``node.fingers``
+        themselves.  Successor and predecessor pointers are left alone,
+        so damage to them stays visible.  A no-op while the fingers are
+        current.
         """
         if not self._fingers_stale:
             return
         self._fingers_stale = False
+        successor = self._oracle_successor
+        m = self.space.m
         for node in self._nodes.values():
-            fingers = node.fingers
-            for j in range(self.space.m):
-                fingers[j] = self._oracle_successor(node.finger_start(j))
+            node.fingers = [successor(node.finger_start(j)) for j in range(m)]
 
     # ------------------------------------------------------------------
     # Snapshot routing
@@ -291,17 +294,19 @@ class ChordNetwork:
             self.space,
             successor_list_size=self.successor_list_size,
         )
+        m = self.space.m
         if not self._nodes:
+            node.fingers = [None] * m
             node.predecessor = node
             self._register(node)
             return node
         bootstrap = via if via is not None else next(iter(self._nodes.values()))
-        successor, _ = self.router.find_successor(bootstrap, node.ident)
+        find_successor = self.router.find_successor
+        successor, _ = find_successor(bootstrap, node.ident)
         node.set_successor(successor)
         node.predecessor = None
         # Seed the finger table with lookups through the bootstrap node.
-        for j in range(self.space.m):
-            node.fingers[j], _ = self.router.find_successor(bootstrap, node.finger_start(j))
+        node.fingers = [find_successor(bootstrap, node.finger_start(j))[0] for j in range(m)]
         old_predecessor = successor.predecessor
         self._register(node)
         maintenance.notify(successor, node)
@@ -352,7 +357,12 @@ class ChordNetwork:
     # Maintenance
     # ------------------------------------------------------------------
     def run_stabilization(self, rounds: int = 1, *, fix_all_fingers: bool = False) -> None:
-        """Run the periodic maintenance protocol on every live node."""
+        """Run the periodic maintenance protocol on every live node.
+
+        Fixing fingers and the emergency-successor fallback read and
+        write finger tables, so they are materialized first.
+        """
+        self.materialize_fingers()
         for _ in range(rounds):
             for node in list(self._nodes.values()):
                 maintenance.check_predecessor(node)

@@ -13,7 +13,8 @@ protocol logic is testable in isolation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .idspace import IdentifierSpace
 
@@ -25,6 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_SUCCESSOR_LIST_SIZE = 4
 
 MessageHandler = Callable[["ChordNode", "Message"], None]
+
+#: The handler table of a node nothing has registered a handler on.
+_NO_HANDLERS: Mapping[str, MessageHandler] = MappingProxyType({})
 
 
 class ChordNode:
@@ -40,6 +44,16 @@ class ChordNode:
         the same hash function.
     space:
         The shared identifier space.
+
+    A node allocates only what a run reads.  A fresh node's ``fingers``
+    is the empty tuple and its handler table a shared empty one, so
+    neither costs an object per node: routing on a stable ring uses the
+    ring snapshot and never reads the fingers.  The network assigns a
+    full finger list when the object walk or ring maintenance needs it
+    (``materialize_fingers``, ``join``).  An engine installs one
+    read-only handler table shared by all the nodes it adopts
+    (:meth:`use_handlers`); :meth:`register_handler` gives the node a
+    copy of its own on the first write.
     """
 
     __slots__ = (
@@ -72,13 +86,17 @@ class ChordNode:
         self.ip = ip if ip is not None else f"10.0.0.0/{key}"
         self.alive = True
         self.predecessor: Optional[ChordNode] = None
-        self.fingers: list[Optional[ChordNode]] = [None] * space.m
+        #: ``()`` until the network assigns a list of ``space.m``
+        #: entries (see the class docstring).
+        self.fingers: Sequence[Optional[ChordNode]] = ()
         self.successor_list: list[ChordNode] = []
         self.successor_list_size = successor_list_size
         #: Round-robin position of the periodic finger refresh
         #: (``fix_next_finger``); node-local so rings never share it.
         self.finger_cursor = 0
-        self._handlers: dict[str, MessageHandler] = {}
+        #: A shared read-only mapping until the first
+        #: :meth:`register_handler`, then a dict of this node's own.
+        self._handlers: Mapping[str, MessageHandler] = _NO_HANDLERS
         #: Application-level state attached by the query-processing
         #: engine (a ``NodeState``); opaque to the DHT layer.
         self.app: object | None = None
@@ -199,8 +217,28 @@ class ChordNode:
     # Application message delivery
     # ------------------------------------------------------------------
     def register_handler(self, message_type: str, handler: MessageHandler) -> None:
-        """Register the application handler for ``message_type``."""
-        self._handlers[message_type] = handler
+        """Register the application handler for ``message_type``.
+
+        The first registration copies a shared table, so the handler
+        never reaches the other nodes that share it.
+        """
+        handlers = self._handlers
+        if not isinstance(handlers, dict):
+            handlers = self._handlers = dict(handlers)
+        handlers[message_type] = handler
+
+    def use_handlers(self, table: Mapping[str, MessageHandler]) -> None:
+        """Dispatch through ``table``, a read-only mapping shared with
+        other nodes.
+
+        Handlers this node registered itself for other message types
+        stay in effect: they are merged into its own copy instead.
+        """
+        handlers = self._handlers
+        if isinstance(handlers, dict):
+            handlers.update(table)
+        else:
+            self._handlers = table
 
     def deliver(self, message: "Message") -> None:
         """Hand a routed message to the registered application handler."""

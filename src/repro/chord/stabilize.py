@@ -94,11 +94,18 @@ def check_predecessor(node: ChordNode) -> None:
 
 
 def fix_finger(node: ChordNode, index: int, router: "Router") -> None:
-    """Recompute finger ``index`` with a routed lookup."""
+    """Recompute finger ``index`` with a routed lookup.
+
+    A node whose table was never assigned (``fingers == ()``) gets an
+    empty one of ``m`` entries first.
+    """
     if not node.alive:
         return
     target, _ = router.find_successor(node, node.finger_start(index))
-    node.fingers[index] = target
+    fingers = node.fingers
+    if not fingers:
+        fingers = node.fingers = [None] * node.space.m
+    fingers[index] = target
 
 
 def fix_next_finger(node: ChordNode, router: "Router") -> None:

@@ -67,14 +67,21 @@ class NodeState:
 
     ``windowed`` says whether the engine runs a sliding window: only
     then do the value-level tables keep eviction heaps.
+
+    The VLTT (SAI, DAI-Q) and the projection store (DAI-V) are created
+    on first access of :attr:`vltt` / :attr:`projections`: DAI-T never
+    stores either, and a table that was never created counts as empty
+    for :meth:`storage_breakdown`, :meth:`evict_expired` and
+    :meth:`transfer_to`, which do not create it.
     """
 
     def __init__(self, node: ChordNode, jfrt_capacity: int = 0, windowed: bool = True):
         self.node = node
+        self.windowed = windowed
         self.alqt = AttributeLevelQueryTable()
         self.vlqt = ValueLevelQueryTable(windowed)
-        self.vltt = ValueLevelTupleTable(windowed)
-        self.projections = ProjectionStore(windowed)
+        self._vltt: Optional[ValueLevelTupleTable] = None
+        self._projections: Optional[ProjectionStore] = None
         #: Notifications parked for offline subscribers, keyed by
         #: subscriber identifier (routing identifier for handoff).
         self.parked: dict[int, list[Notification]] = {}
@@ -91,12 +98,33 @@ class NodeState:
         #: set semantics of answers; bookkeeping, not storage load).
         self.emitted: set[tuple[str, str, tuple]] = set()
 
+    @property
+    def vltt(self) -> ValueLevelTupleTable:
+        """The value-level tuple table, created on first access."""
+        table = self._vltt
+        if table is None:
+            table = self._vltt = ValueLevelTupleTable(self.windowed)
+        return table
+
+    @property
+    def projections(self) -> ProjectionStore:
+        """DAI-V's projection store, created on first access."""
+        table = self._projections
+        if table is None:
+            table = self._projections = ProjectionStore(self.windowed)
+        return table
+
     def storage_breakdown(self) -> StorageBreakdown:
         """Storage load of this node, split by indexing level."""
         parked = sum(len(batch) for batch in self.parked.values())
+        value_level = len(self.vlqt)
+        if self._vltt is not None:
+            value_level += len(self._vltt)
+        if self._projections is not None:
+            value_level += len(self._projections)
         return StorageBreakdown(
             attribute_level=len(self.alqt),
-            value_level=len(self.vlqt) + len(self.vltt) + len(self.projections),
+            value_level=value_level,
             parked_notifications=parked,
         )
 
@@ -108,12 +136,9 @@ class NodeState:
         rings almost all of them hold nothing old enough to evict.
         """
         total = 0
-        if self.vlqt.pending_before(cutoff):
-            total += self.vlqt.evict_older_than(cutoff)
-        if self.vltt.pending_before(cutoff):
-            total += self.vltt.evict_older_than(cutoff)
-        if self.projections.pending_before(cutoff):
-            total += self.projections.evict_older_than(cutoff)
+        for table in (self.vlqt, self._vltt, self._projections):
+            if table is not None and table.pending_before(cutoff):
+                total += table.evict_older_than(cutoff)
         return total
 
     def transfer_to(self, other: "NodeState", should_move) -> int:
@@ -129,12 +154,14 @@ class NodeState:
         for stored_rewritten in self.vlqt.pop_matching(should_move):
             other.vlqt.insert_entry(stored_rewritten)
             moved += 1
-        for stored_tuple in self.vltt.pop_matching(should_move):
-            other.vltt.add(stored_tuple)
-            moved += 1
-        for stored_projection in self.projections.pop_matching(should_move):
-            other.projections.add(stored_projection)
-            moved += 1
+        if self._vltt is not None:
+            for stored_tuple in self._vltt.pop_matching(should_move):
+                other.vltt.add(stored_tuple)
+                moved += 1
+        if self._projections is not None:
+            for stored_projection in self._projections.pop_matching(should_move):
+                other.projections.add(stored_projection)
+                moved += 1
         for subscriber_ident in list(self.parked):
             if should_move(subscriber_ident):
                 batch = self.parked.pop(subscriber_ident)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Optional, Union
 
 from ..chord.network import ChordNetwork
@@ -146,6 +147,21 @@ class ContinuousQueryEngine:
         #: setup, memory and sweeps pay per *touched* node, not per
         #: member (see :meth:`adopted_states`).
         self._adopted: dict[int, NodeState] = {}
+        #: The protocol handlers of every adopted node: one read-only
+        #: table shared by reference (``ChordNode.use_handlers``).  The
+        #: algorithm handlers resolve ``algorithm.on_*`` per call, so a
+        #: class-level wrapper installed later still sees every message.
+        algorithm = self.algorithm
+        self._handler_table = MappingProxyType(
+            {
+                "query": lambda n, m: algorithm.on_query(self, n, m),
+                "al-index": lambda n, m: algorithm.on_al_index(self, n, m),
+                "vl-index": lambda n, m: algorithm.on_vl_index(self, n, m),
+                "join": lambda n, m: algorithm.on_join(self, n, m),
+                "notification": self._on_notification,
+                "unsubscribe": self._on_unsubscribe,
+            }
+        )
 
         adopt = self.adopt
         for node in network:
@@ -176,21 +192,7 @@ class ContinuousQueryEngine:
         )
         node.app = state
         self._adopted[node.ident] = state
-        algorithm = self.algorithm
-        node.register_handler(
-            "query", lambda n, m: algorithm.on_query(self, n, m)
-        )
-        node.register_handler(
-            "al-index", lambda n, m: algorithm.on_al_index(self, n, m)
-        )
-        node.register_handler(
-            "vl-index", lambda n, m: algorithm.on_vl_index(self, n, m)
-        )
-        node.register_handler(
-            "join", lambda n, m: algorithm.on_join(self, n, m)
-        )
-        node.register_handler("notification", self._on_notification)
-        node.register_handler("unsubscribe", self._on_unsubscribe)
+        node.use_handlers(self._handler_table)
         return state
 
     def state(self, node: ChordNode) -> NodeState:

@@ -15,8 +15,9 @@ Sliding-window eviction (``evict_older_than``) is driven by per-table
 lazy min-heaps instead of rescanning every bucket each window round.
 The heaps exist only on *windowed* tables (``windowed=True``, the
 engine's choice whenever ``EngineConfig.window`` is set); an unwindowed
-table pushes no records and answers ``pending_before`` /
-``evict_older_than`` by a full scan, which no engine run ever asks for.
+table keeps no heap list at all (``_evict_heap is None``) and answers
+``pending_before`` / ``evict_older_than`` by a full scan, which no
+engine run ever asks for.
 
 * The VLTT and the DAI-V projection store keep one ``(time, seq,
   locator...)`` record per stored item.  Eviction pops only records
@@ -247,10 +248,11 @@ class ValueLevelQueryTable:
     def __init__(self, windowed: bool = True):
         self._buckets: dict[tuple[str, str], dict[Any, _QueryBucket]] = {}
         self._count = 0
-        self._windowed = windowed
         #: Lazy eviction queue of ``(time, seq, level1, value)`` bucket
-        #: records; see the module docstring.
-        self._evict_heap: list[tuple[float, int, tuple[str, str], Any]] = []
+        #: records (see the module docstring); ``None`` when unwindowed.
+        self._evict_heap: Optional[list[tuple[float, int, tuple[str, str], Any]]] = (
+            [] if windowed else None
+        )
         self._evict_seq = 0
 
     def _arm(self, bucket: _QueryBucket, time: float, level1, value) -> None:
@@ -265,9 +267,9 @@ class ValueLevelQueryTable:
         replay calls this on every adopted node per round, so it must
         cost O(1) on the (overwhelmingly common) idle nodes.
         """
-        if not self._windowed:
-            return any(entry.latest_trigger_time < cutoff for entry in self)
         heap = self._evict_heap
+        if heap is None:
+            return any(entry.latest_trigger_time < cutoff for entry in self)
         return bool(heap) and heap[0][0] < cutoff
 
     def add(
@@ -303,7 +305,7 @@ class ValueLevelQueryTable:
         entry = StoredRewritten.of(rewritten, routing_ident, time)
         bucket[rewritten.key] = entry
         self._count += 1
-        if self._windowed:
+        if self._evict_heap is not None:
             armed = bucket.armed
             if armed is None or time < armed:
                 self._arm(bucket, time, level1, value)
@@ -337,12 +339,12 @@ class ValueLevelQueryTable:
         """
         buckets = self._buckets
         evicted = 0
-        if not self._windowed:
+        heap = self._evict_heap
+        if heap is None:
             for level1 in list(buckets):
                 for value in list(buckets[level1]):
                     evicted += self._sweep(level1, value, cutoff)
         else:
-            heap = self._evict_heap
             while heap and heap[0][0] < cutoff:
                 time, _, level1, value = heapq.heappop(heap)
                 level2 = buckets.get(level1)
@@ -371,7 +373,7 @@ class ValueLevelQueryTable:
             del level2[value]
             if not level2:
                 del self._buckets[level1]
-        elif self._windowed:
+        elif self._evict_heap is not None:
             self._arm(bucket, oldest, level1, value)
         return before - len(bucket)
 
@@ -463,10 +465,12 @@ class ValueLevelTupleTable:
     def __init__(self, windowed: bool = True):
         self._buckets: dict[tuple[str, str], dict[Any, list[StoredTuple]]] = {}
         self._count = 0
-        self._windowed = windowed
-        #: Lazy eviction queue; tuple publication times never change, so
-        #: records only go stale when an entry is handed off on churn.
-        self._evict_heap: list[tuple[float, int, tuple[str, str], Any, StoredTuple]] = []
+        #: Lazy eviction queue (``None`` when unwindowed); tuple
+        #: publication times never change, so records only go stale when
+        #: an entry is handed off on churn.
+        self._evict_heap: Optional[
+            list[tuple[float, int, tuple[str, str], Any, StoredTuple]]
+        ] = ([] if windowed else None)
         self._evict_seq = 0
 
     def add(self, stored: StoredTuple) -> None:
@@ -474,11 +478,11 @@ class ValueLevelTupleTable:
         value = stored.tuple.value(stored.index_attribute)
         self._buckets.setdefault(level1, {}).setdefault(value, []).append(stored)
         self._count += 1
-        if self._windowed:
+        heap = self._evict_heap
+        if heap is not None:
             self._evict_seq += 1
             heapq.heappush(
-                self._evict_heap,
-                (stored.tuple.pub_time, self._evict_seq, level1, value, stored),
+                heap, (stored.tuple.pub_time, self._evict_seq, level1, value, stored)
             )
 
     def candidates(self, relation: str, attribute: str, value: Any) -> list[StoredTuple]:
@@ -501,17 +505,17 @@ class ValueLevelTupleTable:
 
     def pending_before(self, cutoff: float) -> bool:
         """True when :meth:`evict_older_than` could evict anything."""
-        if not self._windowed:
-            return any(_tuple_time(stored) < cutoff for stored in self)
         heap = self._evict_heap
+        if heap is None:
+            return any(_tuple_time(stored) < cutoff for stored in self)
         return bool(heap) and heap[0][0] < cutoff
 
     def evict_older_than(self, cutoff: float) -> int:
         buckets = self._buckets
-        if not self._windowed:
+        heap = self._evict_heap
+        if heap is None:
             evicted = _scan_evict(buckets, cutoff, _tuple_time)
         else:
-            heap = self._evict_heap
             evicted = 0
             while heap and heap[0][0] < cutoff:
                 _, _, level1, value, stored = heapq.heappop(heap)
@@ -576,11 +580,13 @@ class ProjectionStore:
     def __init__(self, windowed: bool = True):
         self._buckets: dict[tuple[str, str], dict[Any, list[StoredProjection]]] = {}
         self._count = 0
-        self._windowed = windowed
-        #: Lazy eviction queue.  A duplicate ``add`` can replace an
-        #: entry's projection with a *newer* publication time, so
-        #: eviction re-arms records whose entry has outlived them.
-        self._evict_heap: list[tuple[float, int, tuple[str, str], Any, StoredProjection]] = []
+        #: Lazy eviction queue (``None`` when unwindowed).  A duplicate
+        #: ``add`` can replace an entry's projection with a *newer*
+        #: publication time, so eviction re-arms records whose entry has
+        #: outlived them.
+        self._evict_heap: Optional[
+            list[tuple[float, int, tuple[str, str], Any, StoredProjection]]
+        ] = ([] if windowed else None)
         self._evict_seq = 0
 
     def _arm(self, time: float, level1, value, stored: StoredProjection) -> None:
@@ -598,7 +604,7 @@ class ProjectionStore:
                 return False
         bucket.append(stored)
         self._count += 1
-        if self._windowed:
+        if self._evict_heap is not None:
             self._arm(stored.projection.pub_time, level1, stored.value, stored)
         return True
 
@@ -612,17 +618,17 @@ class ProjectionStore:
 
     def pending_before(self, cutoff: float) -> bool:
         """True when :meth:`evict_older_than` could evict anything."""
-        if not self._windowed:
-            return any(_projection_time(stored) < cutoff for stored in self)
         heap = self._evict_heap
+        if heap is None:
+            return any(_projection_time(stored) < cutoff for stored in self)
         return bool(heap) and heap[0][0] < cutoff
 
     def evict_older_than(self, cutoff: float) -> int:
         buckets = self._buckets
-        if not self._windowed:
+        heap = self._evict_heap
+        if heap is None:
             evicted = _scan_evict(buckets, cutoff, _projection_time)
         else:
-            heap = self._evict_heap
             evicted = 0
             while heap and heap[0][0] < cutoff:
                 _, _, level1, value, stored = heapq.heappop(heap)

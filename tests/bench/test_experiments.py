@@ -67,3 +67,24 @@ class TestT1Comparison:
         dai_q = trace_canonical_example("dai-q", n_nodes=32)
         assert dai_q["value_level_queries"] == 0
         assert dai_q["value_level_tuples"] > 0
+
+    def test_measured_rows_pinned(self):
+        """The measured columns, as counted over every ring member before
+        the count moved to the adopted nodes only (64-node ring)."""
+        expected = {
+            "sai": (1, 1, 1, 6, 1, 1),
+            "dai-q": (2, 1, 1, 6, 0, 1),
+            "dai-t": (2, 1, 0, 0, 2, 1),
+            "dai-v": (2, 1, 1, 2, 0, 1),
+        }
+        columns = (
+            "rewriter_copies",
+            "join_msgs_first_trigger",
+            "join_msgs_duplicate_trigger",
+            "value_level_tuples",
+            "value_level_queries",
+            "rows_delivered",
+        )
+        for algorithm, values in expected.items():
+            row = trace_canonical_example(algorithm)
+            assert row == {"algorithm": algorithm, **dict(zip(columns, values))}

@@ -102,6 +102,8 @@ class TestFingers:
         space = IdentifierSpace(8)
         node = make_node(0, space)
         f1, f2, f3 = make_node(10, space), make_node(60, space), make_node(200, space)
+        assert node.fingers == ()
+        node.fingers = [None] * space.m
         node.fingers[0] = f1
         node.fingers[5] = f2
         node.fingers[7] = f3
@@ -115,6 +117,7 @@ class TestFingers:
         best = make_node(90, space)
         dead = make_node(95, space)
         dead.alive = False
+        node.fingers = [None] * space.m
         node.fingers[0] = best
         node.fingers[1] = dead
         assert node.closest_preceding_finger(100) is best

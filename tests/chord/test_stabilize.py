@@ -112,3 +112,32 @@ class TestFixFingers:
         for _ in range(network.space.m):
             maintenance.fix_next_finger(target, network.router)
         assert all(entry is not None for entry in target.fingers)
+
+
+class TestBuiltRing:
+    """Stabilization on a ring made by ``build``, whose finger tables
+    are not materialized yet."""
+
+    def test_fix_all_fingers_keeps_ring_and_sets_oracle_fingers(self):
+        network = ChordNetwork.build(64)
+        assert all(entry.fingers == () for entry in network)
+        network.run_stabilization(2, fix_all_fingers=True)
+        assert network.ring_is_consistent()
+        for entry in network:
+            assert list(entry.fingers) == [
+                network.responsible_node(entry.finger_start(j))
+                for j in range(network.space.m)
+            ]
+
+    def test_round_robin_fix_on_built_ring(self):
+        network = ChordNetwork.build(16)
+        network.run_stabilization(1)
+        assert network.ring_is_consistent()
+        assert all(len(entry.fingers) == network.space.m for entry in network)
+
+    def test_fix_finger_on_a_node_without_a_table(self):
+        network = ChordNetwork.build(16)
+        target = network.nodes[0]
+        maintenance.fix_finger(target, 3, network.router)
+        assert len(target.fingers) == network.space.m
+        assert target.fingers[3] is network.responsible_node(target.finger_start(3))

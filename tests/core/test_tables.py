@@ -162,7 +162,7 @@ class TestVLQT:
         table = ValueLevelQueryTable(windowed=False)
         table.add(rewritten(key="old", pub=1.0), 0)
         table.add(rewritten(key="new", pub=10.0), 0)
-        assert table._evict_heap == []
+        assert table._evict_heap is None
         assert table.pending_before(5.0)
         assert table.evict_older_than(5.0) == 1
         assert not table.pending_before(5.0)
